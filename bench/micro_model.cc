@@ -16,7 +16,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/convolution_plan.h"
 #include "core/distribution.h"
 #include "core/profiler.h"
 #include "core/rubik_controller.h"
@@ -45,12 +44,24 @@ lognormalDist(double mu, double sigma, uint64_t seed,
 void
 BM_TableRebuild(benchmark::State &state)
 {
-    const auto compute = lognormalDist(13.0, 0.3, 1);
-    const auto memory = lognormalDist(-9.0, 0.3, 2);
+    // The controller's periodic rebuild: between two rebuilds the
+    // sliding profile window takes in fresh completions (32, the
+    // default minNewSamplesPerRebuild), so every rebuild convolves
+    // slightly different histograms.
+    Profiler prof(4096, 128);
+    Rng rng(1);
+    const auto record = [&] {
+        prof.record(rng.lognormal(13.0, 0.3), rng.lognormal(-9.0, 0.3));
+    };
+    for (int i = 0; i < 4096; ++i)
+        record();
     TailTableConfig cfg;
     cfg.rows = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
-        auto table = TargetTailTable::build(compute, memory, cfg);
+        for (int i = 0; i < 32; ++i)
+            record();
+        auto table = TargetTailTable::build(prof.computeDistribution(),
+                                            prof.memoryDistribution(), cfg);
         benchmark::DoNotOptimize(table);
     }
 }
@@ -69,40 +80,6 @@ BM_TableRebuildNonConservative(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TableRebuildNonConservative);
-
-void
-BM_TableRebuildWarmPlan(benchmark::State &state)
-{
-    // Steady-state controller shape: the ConvolutionPlan persists across
-    // rebuilds, so every mixing-distribution spectrum is a cache hit.
-    const auto compute = lognormalDist(13.0, 0.3, 1);
-    const auto memory = lognormalDist(-9.0, 0.3, 2);
-    TailTableConfig cfg;
-    cfg.rows = static_cast<std::size_t>(state.range(0));
-    ConvolutionPlan plan;
-    for (auto _ : state) {
-        auto table = TargetTailTable::build(compute, memory, cfg, &plan);
-        benchmark::DoNotOptimize(table);
-    }
-}
-BENCHMARK(BM_TableRebuildWarmPlan)->Arg(8)->Arg(16);
-
-void
-BM_TableRebuildPackedFft(benchmark::State &state)
-{
-    // The flagged packed real-input transform (one forward FFT per
-    // convolution with no spectrum cache; ~1e-12 from the exact path).
-    const auto compute = lognormalDist(13.0, 0.3, 1);
-    const auto memory = lognormalDist(-9.0, 0.3, 2);
-    TailTableConfig cfg;
-    cfg.rows = static_cast<std::size_t>(state.range(0));
-    cfg.packedRealFft = true;
-    for (auto _ : state) {
-        auto table = TargetTailTable::build(compute, memory, cfg);
-        benchmark::DoNotOptimize(table);
-    }
-}
-BENCHMARK(BM_TableRebuildPackedFft)->Arg(16);
 
 void
 BM_FrequencyDecision(benchmark::State &state)
@@ -231,18 +208,6 @@ BM_ConvolveDirect(benchmark::State &state)
         benchmark::DoNotOptimize(a.convolveWith(b, opts));
 }
 BENCHMARK(BM_ConvolveDirect);
-
-void
-BM_ConvolvePacked(benchmark::State &state)
-{
-    const auto a = lognormalDist(13.0, 0.3, 4);
-    const auto b = lognormalDist(13.0, 0.4, 5);
-    ConvolveOptions opts;
-    opts.packedReal = true;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(a.convolveWith(b, opts, nullptr));
-}
-BENCHMARK(BM_ConvolvePacked);
 
 void
 BM_FftPlanned(benchmark::State &state)

@@ -21,14 +21,14 @@
  * slower and save power, while a known-long request is boosted from its
  * first cycle instead of only after its elapsed work reveals it.
  * Requests without hints fall back to the mixture table — RubikBoost
- * degrades gracefully to plain Rubik.
+ * degrades gracefully to plain Rubik. Each periodic rebuild builds the
+ * mixture and class tables in one TargetTailTable::buildBatch call.
  */
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "core/convolution_plan.h"
 #include "core/pi_controller.h"
 #include "core/profiler.h"
 #include "core/rubik_controller.h"
@@ -79,9 +79,6 @@ class RubikBoostController : public DvfsPolicy
     std::vector<Profiler> classProfilers_;
     std::optional<TargetTailTable> mixTable_;
     std::vector<std::optional<TargetTailTable>> classTables_;
-    /// Reused across periodic rebuilds (all class tables share the
-    /// mixture distributions, so its spectrum cache carries across).
-    ConvolutionPlan convPlan_;
 
     double internalTarget_;
     RollingTail measured_;

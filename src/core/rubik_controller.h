@@ -13,14 +13,15 @@
  * where c_i / m_i come from the precomputed target tail tables, t_i is how
  * long request i has been in the system, and L is the (internal) latency
  * target. It picks the smallest grid frequency satisfying all constraints.
- * The tables are rebuilt every 100 ms from online profiles, and a PI
- * feedback loop on the measured tail trims Rubik's conservatism.
+ * The tables are rebuilt every 100 ms from online profiles (each rebuild
+ * recomputes every convolution chain; nothing is cached across
+ * rebuilds, since the profile drifts between them), and a PI feedback
+ * loop on the measured tail trims Rubik's conservatism.
  */
 
 #include <cstdint>
 #include <optional>
 
-#include "core/convolution_plan.h"
 #include "core/pi_controller.h"
 #include "core/profiler.h"
 #include "core/target_tail_table.h"
@@ -88,7 +89,6 @@ class RubikController : public DvfsPolicy
     double internalTarget() const { return internalTarget_; }
     const RubikConfig &config() const { return cfg_; }
     uint64_t tableRebuilds() const { return tableRebuilds_; }
-    const ConvolutionPlan &convolutionPlan() const { return convPlan_; }
     /// @}
 
   private:
@@ -99,11 +99,6 @@ class RubikController : public DvfsPolicy
     RubikConfig cfg_;
     Profiler profiler_;
     std::optional<TargetTailTable> table_;
-    /// Convolution workspace reused across the periodic table rebuilds;
-    /// its spectrum cache makes each rebuild transform the (slowly
-    /// drifting) mixing distributions once per chain step, and the
-    /// arenas drop the rebuild's allocation churn.
-    ConvolutionPlan convPlan_;
     double internalTarget_;
     RollingTail measured_;
     PiController pi_;

@@ -1,5 +1,6 @@
 #include "serve/daemon.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <csignal>
@@ -181,11 +182,48 @@ handleLine(ServeEngine &engine, const DvfsModel &dvfs,
     return "err unknown command: " + cmd;
 }
 
+/// Longest request line (bytes, newline excluded) the daemon buffers.
+/// Protocol lines are a few dozen bytes; a client that exceeds this is
+/// answered "err line too long" and dropped, so no client can grow the
+/// daemon's memory without bound.
+constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
 struct Client
 {
     int fd = -1;
-    std::string inbuf;
+    std::string inbuf; ///< Unterminated tail of the input (no '\n').
 };
+
+/**
+ * Feed the bytes [data, end) of one read to a client: answer every
+ * line they complete and keep the unterminated tail. Only the new bytes
+ * are scanned, so ingest is linear in the bytes read. Returns false
+ * when the client must be dropped: a failed write, or a line over
+ * kMaxLineBytes.
+ */
+template <typename Handle>
+bool
+feedClient(Client &c, const char *data, const char *end,
+           const Handle &handle)
+{
+    for (;;) {
+        const char *nl = std::find(data, end, '\n');
+        c.inbuf.append(data, nl);
+        if (c.inbuf.size() > kMaxLineBytes) {
+            writeAll(c.fd, "err line too long\n");
+            return false;
+        }
+        if (nl == end)
+            return true;
+        data = nl + 1;
+        std::string line;
+        line.swap(c.inbuf);
+        if (!line.empty() && line.back() == '\r')
+            line.pop_back();
+        if (!writeAll(c.fd, handle(line) + "\n"))
+            return false;
+    }
+}
 
 } // anonymous namespace
 
@@ -242,6 +280,9 @@ runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config)
     ServeEngine engine(dvfs, config.serve);
     std::vector<Client> clients;
     bool shutdownRequested = false;
+    const auto handle = [&](const std::string &line) {
+        return handleLine(engine, dvfs, config, line, &shutdownRequested);
+    };
 
     std::fprintf(stderr, "serve: listening on %s\n",
                  config.socketPath.c_str());
@@ -273,21 +314,7 @@ runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config)
                 if (n <= 0 && !(n < 0 && errno == EINTR)) {
                     drop = true;
                 } else if (n > 0) {
-                    c.inbuf.append(buf, static_cast<std::size_t>(n));
-                    std::size_t nl;
-                    while (!drop && (nl = c.inbuf.find('\n')) !=
-                                        std::string::npos) {
-                        std::string line = c.inbuf.substr(0, nl);
-                        if (!line.empty() && line.back() == '\r')
-                            line.pop_back();
-                        c.inbuf.erase(0, nl + 1);
-                        const std::string reply =
-                            handleLine(engine, dvfs, config, line,
-                                       &shutdownRequested) +
-                            "\n";
-                        if (!writeAll(c.fd, reply))
-                            drop = true;
-                    }
+                    drop = !feedClient(c, buf, buf + n, handle);
                 }
             }
             if (drop) {

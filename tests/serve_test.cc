@@ -7,12 +7,16 @@
  * LatencyHistogram, and — when RUBIK_CLI points at the built binary —
  * the daemon lifecycle end to end: start, ping, replay producing a
  * decision hash byte-identical to the one-shot CLI's, well-formed
- * --stats, and a SIGTERM shutdown that exits 0 and removes the socket.
+ * --stats, a SIGTERM shutdown that exits 0 and removes the socket, and
+ * a client streaming an over-long line being dropped without stalling
+ * the others.
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +26,9 @@
 #include <vector>
 
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -546,6 +553,72 @@ TEST_F(ServeDaemonCli, ShutdownCommandExitsCleanly)
     daemonPid = -1;
     EXPECT_TRUE(commandSucceeded(status)) << describeWaitStatus(status);
     EXPECT_FALSE(std::filesystem::exists(socketPath));
+}
+
+/// Raw client connection with 2 s send/receive timeouts (-1 on error).
+int
+connectWithTimeouts(const std::string &path)
+{
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (path.size() >= sizeof(addr.sun_path))
+        return -1;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    timeval tv{2, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/// Send `bytes` newline-free bytes; stops early once the peer is gone.
+void
+sendFiller(int fd, std::size_t bytes)
+{
+    const std::string chunk(4096, 'x');
+    while (bytes > 0) {
+        const std::size_t len = std::min(bytes, chunk.size());
+        const ssize_t n = ::send(fd, chunk.data(), len, MSG_NOSIGNAL);
+        if (n <= 0)
+            return;
+        bytes -= static_cast<std::size_t>(n);
+    }
+}
+
+TEST_F(ServeDaemonCli, OverlongLineClientIsDroppedOthersStillServed)
+{
+    startDaemon("");
+    // The daemon's line cap is 64 KiB.
+    constexpr std::size_t kCap = 64 * 1024;
+    const int hog = connectWithTimeouts(socketPath);
+    ASSERT_GE(hog, 0);
+
+    // Half a cap of pending line: the daemon buffers it and keeps
+    // serving everyone else.
+    sendFiller(hog, kCap / 2);
+    EXPECT_EQ(serveQuery(socketPath, "ping", 2.0), "ok");
+
+    // Past the cap: the hog is answered and dropped.
+    sendFiller(hog, 4 * kCap);
+    std::string reply;
+    char buf[256];
+    ssize_t n;
+    while ((n = ::read(hog, buf, sizeof buf)) > 0)
+        reply.append(buf, static_cast<std::size_t>(n));
+    // EOF, or ECONNRESET for the filler the daemon never read; a
+    // timeout (EAGAIN) means the hog was never dropped.
+    EXPECT_TRUE(n == 0 || errno == ECONNRESET)
+        << "read: " << std::strerror(errno);
+    ::close(hog);
+    EXPECT_EQ(reply, "err line too long\n");
+    EXPECT_EQ(serveQuery(socketPath, "ping", 2.0), "ok");
 }
 
 TEST_F(ServeDaemonCli, RefusesSecondDaemonOnLiveSocket)
