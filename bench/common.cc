@@ -5,9 +5,9 @@
 #include <cstring>
 #include <exception>
 
-#include "runner/backend.h"
 #include "runner/fault.h"
 #include "runner/options_parser.h"
+#include "runner/orchestrator.h"
 #include "workloads/cache_manager.h"
 #include "workloads/trace_store.h"
 
@@ -28,7 +28,7 @@ enforceCacheCapAtExit()
  * merge the shard CSVs onto stdout. `argv` is the original command
  * line; the child argument vector keeps every flag except the
  * backend/dispatch ones (each child runs `--backend local`
- * implicitly) and gets `--shard I/N` appended by the backend.
+ * implicitly) and gets `--shard I/N` appended by the dispatch engine.
  */
 [[noreturn]] void
 dispatchSelf(int argc, char **argv, const Options &opts)
@@ -53,8 +53,7 @@ dispatchSelf(int argc, char **argv, const Options &opts)
     cfg.traceCacheDir = opts.traceCache;
     cfg.selfExe = child_argv.front();
     try {
-        const auto backend = rubik::makeBackend(opts.backend, cfg);
-        backend->dispatchArgv(child_argv, stdout);
+        rubik::runArgvShards(child_argv, opts.backend, cfg, stdout);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "backend dispatch failed: %s\n", e.what());
         std::exit(1);
@@ -87,8 +86,7 @@ parseOptions(int argc, char **argv, bool allow_shard)
     rubik::addShardFlag(parser, &shard);
     parser.value("--backend",
                  [&opts](const char *v) { opts.backend = v; });
-    parser.value("--shards",
-                 [&opts](const char *v) { opts.shards = std::atoi(v); });
+    parser.number("--shards", &opts.shards, 1);
     parser.value("--trace-cache",
                  [&opts](const char *v) { opts.traceCache = v; });
     parser.value("--cache-cap",

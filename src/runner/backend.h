@@ -3,135 +3,74 @@
 
 /**
  * @file
- * Pluggable execution backends: how a SweepSpec grid's shards get run.
+ * Dispatch backends: where a sweep's or a bench's shards run.
  *
- * The SweepSpec shard format (sweep_spec.h) makes a sweep dispatchable:
- * shard i of N is a self-contained `sweep --spec F --shard i/N`
- * invocation whose CSV concatenates byte-exactly with its siblings. An
- * ExecutionBackend decides where those shards execute:
+ * A `--backend` description is either `local` — run in this process,
+ * on the ExperimentRunner pool (the default) — or a command template
+ * that /bin/sh runs once per dispatched unit:
  *
- *  - LocalThreadBackend  — in this process, on the existing
- *    ExperimentRunner thread pool (the default; byte-identical to the
- *    pre-backend runSweep path).
- *  - SubprocessBackend   — self-spawns one `rubik_cli sweep --spec F
- *    --shard i/N` child per shard on this machine and merges their
- *    CSVs. Pair with a shared --trace-cache so the children generate
- *    each common trace exactly once.
- *  - CommandBackend      — instantiates a user-supplied command
- *    template per shard (e.g. `ssh host {argv}` or a job-queue submit
- *    wrapper), with per-shard failure retry. The command's stdout is
- *    the shard CSV.
+ *  - `command:<template>` wraps the unit's canonical child command
+ *    (`ssh host {argv}`, a job-queue submit wrapper, ...);
+ *  - `subprocess` is exactly `command:{argv}`: self-spawn the
+ *    canonical child on this machine. Pair with a shared
+ *    --trace-cache so the children generate each common trace once.
  *
- * All dispatching backends merge shard outputs deterministically in
- * shard-index order (sweep_spec.h mergeCsvShards), replay child stderr
- * in the same order, and propagate a child's nonzero exit status plus
- * its captured stderr in the thrown std::runtime_error — a failed
- * shard can never silently truncate a merged CSV.
+ * Every dispatched unit runs through the one engine in
+ * runner/orchestrator.h (runDispatch): concurrent children, retry
+ * with backoff, lease/steal, stderr replay in unit order, and an
+ * in-order merge that never publishes a partial result. A static
+ * sweep dispatches one `sweep --spec F --cells B-E` batch per
+ * non-empty shard; a bench dispatches itself once per shard with
+ * `--shard i/N` appended.
  *
- * Command template contract (CommandBackend): the template is a POSIX
- * shell command in which these placeholders are substituted per shard:
+ * Command template contract: these placeholders are substituted per
+ * unit (unknown braces such as ${VAR} pass through untouched):
  *
- *   {argv}     the canonical local command for this shard, quoted
- *              (e.g. `.../rubik_cli sweep --spec F --shard 1/3`);
+ *   {argv}     the canonical local child command, shell-quoted;
  *              templates like `ssh host {argv}` wrap it verbatim
- *   {spec}     path to the serialized spec file (sweep dispatch only)
+ *   {spec}     path to the serialized spec file (sweeps only)
+ *   {cells}    the unit's half-open cell range "B-E" (sweeps only)
  *   {shard}    "i/N"      {index} "i"      {nshards} "N"
- *   {jobs}     the per-shard --jobs value (0 = hardware default)
+ *   {jobs}     the per-child --jobs value (0 = hardware default)
  *
  * A template must reference {argv}, {shard}, or {index}; otherwise
- * every shard would run the identical command and the merge could not
- * be a partition. Commands run with stdout redirected to the shard's
- * CSV file and stderr captured for error reporting.
+ * every unit would run the identical command and the merge could not
+ * be a partition.
  */
 
 #include <cstddef>
-#include <cstdio>
-#include <functional>
 #include <map>
-#include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "runner/sweep_spec.h"
-
 namespace rubik {
 
-/// Dispatch parameters shared by every backend.
+/// Dispatch parameters shared by every dispatched run.
 struct BackendConfig
 {
-    int numShards = 1;   ///< Shards to split the work into.
-    int jobs = 0;        ///< Worker threads per shard (0 = hardware).
-    int maxAttempts = 0; ///< Per-shard attempts; 0 = backend default
-                         ///< (subprocess 1, command 3).
+    int numShards = 1;   ///< Shards, and concurrent dispatch slots.
+    int jobs = 0;        ///< Worker threads per child (0 = hardware).
+    int maxAttempts = 3; ///< Spawns per unit: first try, retries and
+                         ///< steals (`--retries N` sets N+1).
     std::string traceCacheDir; ///< Forwarded as --trace-cache.
     std::string traceCacheCap; ///< Forwarded as --cache-cap (size text).
     bool traceStats = false;   ///< Forward --trace-stats to children.
-    std::string selfExe;       ///< Binary SubprocessBackend spawns.
-};
-
-class ExecutionBackend
-{
-  public:
-    virtual ~ExecutionBackend() = default;
-
-    virtual const char *name() const = 0;
-
-    /// True when work should simply proceed in this process (local
-    /// backend): callers skip dispatch entirely.
-    virtual bool inProcess() const { return false; }
-
-    /**
-     * Run every shard of `spec` and write the merged CSV (bytes
-     * identical to an unsharded runSweep) to `out`. Throws
-     * std::runtime_error on an invalid spec or any shard failure.
-     */
-    virtual void runSweepSpec(const SweepSpec &spec, std::FILE *out) = 0;
-
-    /**
-     * Generic self-dispatch for shard-capable binaries (the benches):
-     * run `argv` (binary + arguments, shard flag excluded) once per
-     * shard with `--shard i/N` appended, merging shard stdout in order
-     * into `out`. Throws std::runtime_error on failure, and for the
-     * local backend, which executes in-process (see inProcess()).
-     */
-    virtual void dispatchArgv(const std::vector<std::string> &argv,
-                              std::FILE *out) = 0;
-
-    /**
-     * The shell command that runs cells [begin, end) of the spec at
-     * `spec_path` as one `sweep --cells` batch child — the unit the
-     * work-stealing orchestrator (runner/orchestrator.h) leases,
-     * re-dispatches, and steals. `batch`/`num_batches` fill a command
-     * template's {index}/{shard}/{nshards} placeholders. Throws for
-     * the local backend, which executes batches in-process.
-     */
-    virtual std::string cellsCommand(const std::string &spec_path,
-                                     std::size_t begin,
-                                     std::size_t end, int batch,
-                                     int num_batches) const
-    {
-        (void)spec_path;
-        (void)begin;
-        (void)end;
-        (void)batch;
-        (void)num_batches;
-        throw std::runtime_error(
-            std::string(name()) +
-            " backend does not dispatch cell batches");
-    }
+    std::string selfExe;       ///< Binary the canonical child runs.
 };
 
 /**
- * Build a backend from its command-line description:
- * "local", "subprocess", or "command:<template>". Throws
- * std::runtime_error on an unknown description or an invalid template.
+ * The command template for a `--backend` description: "" for `local`
+ * (or an empty description), "{argv}" for `subprocess`, and <tmpl>
+ * for `command:<tmpl>`. Throws std::runtime_error on an unknown
+ * description or an invalid template.
  */
-std::unique_ptr<ExecutionBackend>
-makeBackend(const std::string &desc, const BackendConfig &config);
+std::string backendTemplate(const std::string &desc);
 
 /// POSIX shell single-quote `arg` (embedded quotes escaped).
 std::string shellQuote(const std::string &arg);
+
+/// Shell-quote every word of `argv` and join them with spaces.
+std::string joinQuoted(const std::vector<std::string> &argv);
 
 /// Replace every `{key}` from `fields` in `tmpl` (unknown braces kept).
 std::string
@@ -143,22 +82,26 @@ instantiateCommandTemplate(const std::string &tmpl,
 std::string selfExePath(const char *argv0);
 
 /**
- * Dispatch machinery shared by the non-local backends: run the shell
- * command `command_for(i)` for each shard with stdout captured as that
- * shard's CSV and stderr captured for diagnostics, retrying each shard
- * up to `max_attempts` times. Whether the batch succeeds or not, every
- * shard's captured stderr is replayed to this process's stderr in
- * shard order once all shards have finished — a failure in one shard
- * never swallows another shard's diagnostics. On success the shard
- * CSVs are then merged in shard order into `out`; otherwise the
- * lowest-indexed failure throws std::runtime_error naming the shard,
- * the command, the decoded exit status (a signal-killed child reads
- * "killed by signal N", not an exit code), and the captured stderr;
- * nothing is written to `out` in that case.
+ * The shell command for unit `index` of `count`: `tmpl` with {argv}
+ * set to `argv` (an already-quoted command line), {shard}/{index}/
+ * {nshards}/{jobs} filled in, and {spec}/{cells} when non-empty.
  */
-void runShardCommands(int num_shards,
-                      const std::function<std::string(int)> &command_for,
-                      int max_attempts, std::FILE *out);
+std::string unitCommand(const std::string &tmpl, const std::string &argv,
+                        int index, int count, int jobs,
+                        const std::string &spec_path = "",
+                        const std::string &cells = "");
+
+/**
+ * The command that runs cells [begin, end) of the spec at `spec_path`
+ * as unit `index` of `count`: the template around the canonical
+ * `selfExe sweep --spec P --cells B-E` child, which carries the
+ * forwarded --jobs / --trace-cache / --cache-cap / --trace-stats.
+ */
+std::string sweepBatchCommand(const std::string &tmpl,
+                              const BackendConfig &config,
+                              const std::string &spec_path,
+                              std::size_t begin, std::size_t end,
+                              int index, int count);
 
 } // namespace rubik
 

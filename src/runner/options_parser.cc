@@ -58,6 +58,13 @@ OptionsParser::onUnknown(std::function<void(const char *)> fn)
     unknown_ = std::move(fn);
 }
 
+void
+OptionsParser::invalidValue(const std::string &name, const char *token)
+{
+    std::fprintf(stderr, "%s: invalid value '%s'\n", name.c_str(), token);
+    std::exit(1);
+}
+
 const OptionsParser::Handler *
 OptionsParser::find(const char *token) const
 {

@@ -19,9 +19,14 @@
  * equals-joined (`--simd=avx2`).
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "sim/sim_options.h"
@@ -50,6 +55,28 @@ class OptionsParser
     void value(const std::string &name,
                std::function<void(const char *)> fn);
 
+    /**
+     * Register a strictly parsed numeric flag: the whole token must
+     * parse as a T, be finite, and lie in [lo, hi]. Anything else —
+     * `abc`, `2x`, `nope`, `-1` below a zero bound — prints "FLAG:
+     * invalid value 'TOKEN'" to stderr and exits 1.
+     */
+    template <typename T>
+    void number(const std::string &name, T *out, T lo,
+                T hi = std::numeric_limits<T>::max())
+    {
+        value(name, [name, out, lo, hi](const char *v) {
+            T parsed{};
+            const char *end = v + std::strlen(v);
+            const auto [ptr, ec] = std::from_chars(v, end, parsed);
+            if (ec != std::errc() || ptr != end ||
+                !std::isfinite(static_cast<double>(parsed)) ||
+                parsed < lo || parsed > hi)
+                invalidValue(name, v);
+            *out = parsed;
+        });
+    }
+
     /// Replace the unknown-token handler.
     void onUnknown(std::function<void(const char *)> fn);
 
@@ -64,6 +91,8 @@ class OptionsParser
         std::function<void(const char *)> fn;
     };
 
+    [[noreturn]] static void invalidValue(const std::string &name,
+                                          const char *token);
     const Handler *find(const char *token) const;
     void rejectDuplicate(const std::string &name) const;
 

@@ -4,14 +4,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include <unistd.h>
 
@@ -39,85 +36,248 @@ deadlineAfter(double s)
            std::chrono::duration_cast<Clock::duration>(secondsOf(s));
 }
 
-/// mkdtemp-backed scratch directory for the spec file and per-attempt
-/// child capture files, removed on scope exit.
-class ScratchDir
+/// Scheduling state of one unit.
+struct UnitState
 {
-  public:
-    ScratchDir()
-    {
-        const char *base = std::getenv("TMPDIR");
-        std::string tmpl = (base && *base) ? base : "/tmp";
-        tmpl += "/rubik-orch-XXXXXX";
-        std::vector<char> buf(tmpl.begin(), tmpl.end());
-        buf.push_back('\0');
-        if (!mkdtemp(buf.data())) {
-            throw std::runtime_error(
-                "orchestrator: cannot create temp directory under " +
-                tmpl);
-        }
-        path_ = buf.data();
-    }
-
-    ~ScratchDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path_, ec);
-    }
-
-    ScratchDir(const ScratchDir &) = delete;
-    ScratchDir &operator=(const ScratchDir &) = delete;
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
+    int inflight = 0; ///< Attempts currently running.
+    int spawns = 0;   ///< Attempts ever launched (incl. steals).
+    int failures = 0; ///< Attempts that came back failed.
+    bool done = false;
+    Clock::time_point stealAt{};   ///< Newest attempt's lease expiry.
+    Clock::time_point notBefore{}; ///< Retry backoff gate.
+    std::string output;            ///< Accepted output.
+    std::string lastError;
 };
 
-std::string
-readFileText(const std::string &path)
+/// Shared state of one runDispatch call.
+struct Engine
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return {};
-    std::string text;
-    char buf[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-    return text;
+    const std::vector<DispatchUnit> *units = nullptr;
+    std::vector<UnitState> state;
+    std::string scratchPath;
+    const std::function<void(std::size_t, const std::string &)>
+        *onCommit = nullptr;
+    std::string workPath;
+    double leaseTimeoutSec = 0.0;
+    int maxAttempts = 3;
+
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t doneCount = 0;
+    /// Set once a unit runs out of attempts (or on `fatal`): no new
+    /// attempt starts after it.
+    bool stop = false;
+    /// A failure no attempt owns: a ledger error or disagreeing
+    /// duplicates.
+    std::string fatal;
+
+    /// The lease of a unit's `attempt`-th spawn: doubled per attempt
+    /// (exponential backoff for stragglers); 0 when leases are off.
+    double leaseFor(int attempt) const
+    {
+        return leaseTimeoutSec *
+               static_cast<double>(1 << std::min(attempt - 1, 10));
+    }
+
+    std::string capturePath(std::size_t unit, int attempt,
+                            const char *ext) const
+    {
+        return scratchPath + "/unit" + std::to_string(unit) +
+               ".attempt" + std::to_string(attempt) + ext;
+    }
+
+    /// Start an attempt of `unit`; returns its attempt number.
+    int claimLocked(std::size_t unit)
+    {
+        UnitState &u = state[unit];
+        ++u.inflight;
+        const int attempt = ++u.spawns;
+        if (leaseTimeoutSec > 0.0)
+            u.stealAt = deadlineAfter(leaseFor(attempt));
+        publishLocked();
+        return attempt;
+    }
+
+    /// Mirror the queue to workPath so an in-flight run is
+    /// inspectable from outside. Best effort; advisory only.
+    void publishLocked() const
+    {
+        if (workPath.empty())
+            return;
+        std::FILE *f = std::fopen(workPath.c_str(), "w");
+        if (!f)
+            return;
+        std::fprintf(f, "# rubik dispatch work queue: %zu/%zu units "
+                        "done\n",
+                     doneCount, state.size());
+        for (std::size_t i = 0; i < state.size(); ++i) {
+            const UnitState &u = state[i];
+            const char *phase = u.done           ? "done"
+                                : u.inflight > 0 ? "leased"
+                                                 : "pending";
+            std::fprintf(f, "%s state %s spawns %d failures %d\n",
+                         (*units)[i].name.c_str(), phase, u.spawns,
+                         u.failures);
+        }
+        std::fclose(f);
+    }
+};
+
+/**
+ * Run one attempt of one unit to completion (or abandonment) and
+ * apply its outcome under the engine lock. The caller has already
+ * claimed it (claimLocked).
+ */
+void
+runAttempt(Engine &e, std::size_t index, int attempt)
+{
+    const DispatchUnit &unit = (*e.units)[index];
+    // Injected faults fire on a unit's first dispatch only: retries
+    // and steals run clean, so recovery is possible by construction.
+    const std::string cmd =
+        attempt > 1 ? "unset RUBIK_FAULT; " + unit.command
+                    : unit.command;
+    const std::string out_path = e.capturePath(index, attempt, ".out");
+    const std::string err_path = e.capturePath(index, attempt, ".err");
+
+    const pid_t pid = spawnShellCommand(cmd, out_path, err_path);
+    const auto spawned = Clock::now();
+    // The hard kill gives a stealer one extra lease period to win
+    // before the straggler is put down.
+    const double lease = e.leaseFor(attempt);
+
+    int status = -1;
+    bool exited = false;
+    bool lease_killed = false;
+    bool superseded = false;
+    for (;;) {
+        if (waitCommandFor(pid, 0.05, &status)) {
+            exited = true;
+            break;
+        }
+        std::lock_guard<std::mutex> lock(e.mutex);
+        if (e.state[index].done) {
+            superseded = true;
+            break;
+        }
+        if (lease > 0.0 &&
+            Clock::now() >= spawned + secondsOf(2.0 * lease)) {
+            lease_killed = true;
+            break;
+        }
+    }
+    if (!exited)
+        killCommandGroup(pid);
+
+    std::string output;
+    std::string failure;
+    if (superseded) {
+        // A stolen duplicate finished elsewhere: discard this
+        // attempt's output entirely.
+    } else if (lease_killed) {
+        failure = "command `" + unit.command +
+                  "` exceeded its lease (killed by the coordinator "
+                  "after " +
+                  std::to_string(2.0 * lease) + " s)";
+    } else if (!commandSucceeded(status)) {
+        failure =
+            "command `" + unit.command + "` " + describeWaitStatus(status);
+    } else {
+        output = readFileText(out_path);
+        const std::string diag = unit.check ? unit.check(output) : "";
+        if (!diag.empty()) {
+            failure = "command `" + unit.command +
+                      "` produced invalid output: " + diag;
+        }
+    }
+    if (!failure.empty()) {
+        const std::string tail = stderrTail(readFileText(err_path));
+        if (!tail.empty())
+            failure += "; stderr:\n" + tail;
+    }
+
+    std::lock_guard<std::mutex> lock(e.mutex);
+    UnitState &u = e.state[index];
+    --u.inflight;
+    if (superseded) {
+        e.cv.notify_all();
+        return;
+    }
+    if (failure.empty()) {
+        if (u.done) {
+            // At-most-once merge: a duplicate must be byte-identical
+            // to the winner; anything else means the run is not
+            // deterministic and must not be published.
+            if (u.output != output) {
+                e.fatal = unit.name +
+                          ": duplicate attempts disagree — "
+                          "nondeterministic output, refusing to merge";
+                e.stop = true;
+            }
+        } else {
+            try {
+                if (*e.onCommit)
+                    (*e.onCommit)(index, output);
+                u.output = std::move(output);
+                u.done = true;
+                ++e.doneCount;
+            } catch (const std::exception &ex) {
+                e.fatal = ex.what();
+                e.stop = true;
+            }
+        }
+    } else if (!u.done) {
+        u.lastError = failure;
+        ++u.failures;
+        if (u.spawns >= e.maxAttempts && u.inflight == 0) {
+            e.stop = true;
+        } else {
+            u.notBefore = deadlineAfter(
+                0.2 * static_cast<double>(1 << std::min(u.failures, 6)));
+        }
+    }
+    e.publishLocked();
+    e.cv.notify_all();
 }
 
-std::string
-tailOf(std::string text)
+/// One slot: run the pre-claimed first unit, then lease (or steal)
+/// units until the run is done or stopped.
+void
+slotLoop(Engine &e, std::size_t first)
 {
-    constexpr std::size_t kMax = 4096;
-    if (text.size() > kMax)
-        text = "..." + text.substr(text.size() - kMax);
-    while (!text.empty() && text.back() == '\n')
-        text.pop_back();
-    return text;
-}
-
-std::string
-writeSpec(const ScratchDir &dir, const SweepSpec &spec)
-{
-    const std::string path = dir.path() + "/sweep.spec";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        throw std::runtime_error("orchestrator: cannot write " + path);
-    const std::string text = spec.serialize();
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    if (std::fclose(f) != 0 || !ok)
-        throw std::runtime_error("orchestrator: short write to " +
-                                 path);
-    return path;
+    runAttempt(e, first, 1);
+    std::unique_lock<std::mutex> lock(e.mutex);
+    for (;;) {
+        if (e.stop || e.doneCount == e.state.size())
+            return;
+        std::size_t claim = e.state.size();
+        const auto now = Clock::now();
+        for (std::size_t i = 0; i < e.state.size(); ++i) {
+            const UnitState &u = e.state[i];
+            if (u.done || u.spawns >= e.maxAttempts)
+                continue;
+            const bool fresh = u.inflight == 0 && now >= u.notBefore;
+            const bool stale = u.inflight > 0 &&
+                               e.leaseTimeoutSec > 0.0 &&
+                               now >= u.stealAt;
+            if (fresh || stale) {
+                claim = i;
+                break;
+            }
+        }
+        if (claim == e.state.size()) {
+            e.cv.wait_for(lock, std::chrono::milliseconds(100));
+            continue;
+        }
+        const int attempt = e.claimLocked(claim);
+        lock.unlock();
+        runAttempt(e, claim, attempt);
+        lock.lock();
+    }
 }
 
 /**
- * Shape check for a batch child's CSV: exactly `cells`
+ * Shape check for a sweep batch's rows: exactly `cells`
  * newline-terminated rows of 12 comma-separated fields. Returns ""
  * when valid, else a diagnosis. This is what turns a silently
  * truncated child CSV (even one with exit status 0) into a retryable
@@ -126,8 +286,6 @@ writeSpec(const ScratchDir &dir, const SweepSpec &spec)
 std::string
 diagnoseBatchCsv(const std::string &text, std::size_t cells)
 {
-    if (cells == 0)
-        return text.empty() ? "" : "expected an empty batch";
     if (text.empty())
         return "child produced no output";
     if (text.back() != '\n')
@@ -158,287 +316,73 @@ diagnoseBatchCsv(const std::string &text, std::size_t cells)
     return "";
 }
 
-/// One leased unit of work: a contiguous cell range plus its
-/// scheduling state.
-struct Batch
+/**
+ * The unit that runs cells [begin, end) as batch `index` of `count`.
+ * Its check drops a leading sweep header on the batch at cell 0 —
+ * what a `--shard {shard}` template's shard 0 emits — then
+ * shape-checks the rows.
+ */
+DispatchUnit
+sweepUnit(const std::string &tmpl, const BackendConfig &config,
+          const std::string &spec_path, std::size_t begin,
+          std::size_t end, int index, int count)
 {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    int inflight = 0; ///< Attempts currently running.
-    int spawns = 0;   ///< Attempts ever launched (incl. steals).
-    int failures = 0; ///< Attempts that came back failed.
-    bool done = false;
-    Clock::time_point stealAt{};   ///< Newest attempt's lease expiry.
-    Clock::time_point notBefore{}; ///< Retry backoff gate.
-    std::string rows;              ///< Committed batch text.
-    std::string lastError;
+    DispatchUnit unit;
+    unit.command = sweepBatchCommand(tmpl, config, spec_path, begin, end,
+                                     index, count);
+    unit.name = "shard " + std::to_string(index) + "/" +
+                std::to_string(count) + " (cells " +
+                std::to_string(begin) + "-" + std::to_string(end) + ")";
+    unit.check = [begin, cells = end - begin](std::string &text) {
+        const std::string header = std::string(sweepCsvHeader()) + "\n";
+        if (begin == 0 && text.compare(0, header.size(), header) == 0)
+            text.erase(0, header.size());
+        return diagnoseBatchCsv(text, cells);
+    };
+    return unit;
+}
 
-    std::size_t cells() const { return end - begin; }
-};
-
-/// Shared scheduler state for the dispatching path.
-struct Coordinator
-{
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::vector<Batch> batches;
-    std::size_t doneCount = 0;
-    std::string fatal;
-    SweepLedger *ledger = nullptr;
-    std::string workPath;
-    std::string specPath;
-    std::string scratchPath;
-    ExecutionBackend *backend = nullptr;
-    double leaseTimeoutSec = 0.0;
-    int maxAttempts = 3;
-
-    bool allDone() const { return doneCount == batches.size(); }
-
-    /// Mirror the queue to <ledger>.work so an in-flight sweep is
-    /// inspectable from outside. Best effort; advisory only.
-    void publishLocked()
-    {
-        if (workPath.empty())
-            return;
-        std::FILE *f = std::fopen(workPath.c_str(), "w");
-        if (!f)
-            return;
-        std::fprintf(f, "# rubik sweep work queue: %zu/%zu batches "
-                        "done\n",
-                     doneCount, batches.size());
-        for (std::size_t i = 0; i < batches.size(); ++i) {
-            const Batch &b = batches[i];
-            const char *state = b.done ? "done"
-                                : b.inflight > 0 ? "leased"
-                                                 : "pending";
-            std::fprintf(f,
-                         "batch %zu cells %zu-%zu state %s spawns %d "
-                         "failures %d\n",
-                         i, b.begin, b.end, state, b.spawns,
-                         b.failures);
-        }
-        std::fclose(f);
-    }
-};
-
-/// Append a committed batch's rows to the ledger, one record per
-/// cell. Caller holds the coordinator mutex.
+/// Call fn(index, row) for each newline-terminated row of a checked
+/// batch, numbering from `begin`; rows are passed without newline.
+template <typename F>
 void
-appendBatchToLedger(Coordinator &co, const Batch &batch,
-                    const std::string &text)
+forEachRow(const std::string &text, std::size_t begin, F &&fn)
 {
-    if (!co.ledger || !co.ledger->isOpen())
-        return;
     std::size_t pos = 0;
-    std::size_t index = batch.begin;
     while (pos < text.size()) {
         const std::size_t nl = text.find('\n', pos);
-        co.ledger->append(index++, text.substr(pos, nl - pos));
+        fn(begin++, text.substr(pos, nl - pos));
         pos = nl + 1;
     }
 }
 
-/**
- * Run one attempt of one batch to completion (or abandonment) and
- * apply its outcome under the coordinator lock. The caller has
- * already incremented inflight/spawns and set the lease clock.
- */
-void
-runAttempt(Coordinator &co, std::size_t index, int attempt)
+/// The command template for a dispatching backend; throws for local.
+std::string
+dispatchTemplate(const std::string &backend_desc)
 {
-    Batch &batch = co.batches[index]; // begin/end are immutable
-    std::string cmd = co.backend->cellsCommand(
-        co.specPath, batch.begin, batch.end, static_cast<int>(index),
-        static_cast<int>(co.batches.size()));
-    if (attempt > 1) {
-        // Injected faults fire on a batch's first dispatch only:
-        // retries and steals run clean, so recovery is possible by
-        // construction.
-        cmd = "RUBIK_FAULT= " + cmd;
-    }
-    const std::string base = co.scratchPath + "/batch" +
-                             std::to_string(index) + ".attempt" +
-                             std::to_string(attempt);
-    const std::string csv_path = base + ".csv";
-    const std::string err_path = base + ".err";
-
-    const pid_t pid = spawnShellCommand(cmd, csv_path, err_path);
-    const auto spawned = Clock::now();
-    // The lease doubles per attempt (exponential backoff for
-    // stragglers); the hard kill gives a stealer one extra lease
-    // period to win before the straggler is put down.
-    const double lease =
-        co.leaseTimeoutSec > 0.0
-            ? co.leaseTimeoutSec *
-                  static_cast<double>(1 << std::min(attempt - 1, 10))
-            : 0.0;
-
-    int status = -1;
-    bool exited = false;
-    bool lease_killed = false;
-    bool superseded = false;
-    for (;;) {
-        if (waitCommandFor(pid, 0.05, &status)) {
-            exited = true;
-            break;
-        }
-        std::lock_guard<std::mutex> lock(co.mutex);
-        if (co.batches[index].done || !co.fatal.empty()) {
-            superseded = true;
-            break;
-        }
-        if (lease > 0.0 &&
-            Clock::now() >= spawned + secondsOf(2.0 * lease)) {
-            lease_killed = true;
-            break;
-        }
-    }
-    if (!exited)
-        killCommandGroup(pid);
-
-    const std::string err_text = readFileText(err_path);
-    std::string text;
-    std::string failure;
-    if (superseded) {
-        // A stolen duplicate finished elsewhere (or the sweep is
-        // aborting): discard this attempt's output entirely.
-    } else if (lease_killed) {
-        failure = "command `" + cmd + "` exceeded its lease (killed " +
-                  "by the coordinator after " +
-                  std::to_string(2.0 * lease) + " s)";
-        if (!tailOf(err_text).empty())
-            failure += "; stderr:\n" + tailOf(err_text);
-    } else if (!commandSucceeded(status)) {
-        failure = "command `" + cmd + "` " + describeWaitStatus(status);
-        if (!tailOf(err_text).empty())
-            failure += "; stderr:\n" + tailOf(err_text);
-    } else {
-        text = readFileText(csv_path);
-        const std::string diag = diagnoseBatchCsv(text, batch.cells());
-        if (!diag.empty()) {
-            failure = "command `" + cmd + "` produced an invalid " +
-                      "batch CSV: " + diag;
-            if (!tailOf(err_text).empty())
-                failure += "; stderr:\n" + tailOf(err_text);
-        }
-    }
-
-    std::lock_guard<std::mutex> lock(co.mutex);
-    // Replay the attempt's captured stderr whatever its outcome
-    // (under the lock so attempts never interleave mid-line) — a
-    // failure in one batch must not swallow another's diagnostics,
-    // exactly as runShardCommands guarantees for static dispatch.
-    if (!err_text.empty()) {
-        std::fwrite(err_text.data(), 1, err_text.size(), stderr);
-        if (err_text.back() != '\n')
-            std::fputc('\n', stderr);
-        std::fflush(stderr);
-    }
-    Batch &b = co.batches[index];
-    --b.inflight;
-    if (superseded) {
-        co.cv.notify_all();
-        return;
-    }
-    if (failure.empty()) {
-        if (b.done) {
-            // At-most-once merge: a duplicate commit must be
-            // byte-identical to the winner; anything else means the
-            // sweep is not deterministic and must not be published.
-            if (b.rows != text) {
-                co.fatal = "sweep batch " + std::to_string(index) +
-                           "/" + std::to_string(co.batches.size()) +
-                           " (cells " + std::to_string(b.begin) + "-" +
-                           std::to_string(b.end) +
-                           "): duplicate attempts disagree — "
-                           "nondeterministic output, refusing to "
-                           "merge";
-            }
-        } else {
-            try {
-                appendBatchToLedger(co, b, text);
-                b.rows = std::move(text);
-                b.done = true;
-                ++co.doneCount;
-            } catch (const std::exception &e) {
-                co.fatal = e.what();
-            }
-        }
-    } else {
-        b.lastError = failure;
-        if (!b.done) {
-            ++b.failures;
-            if (b.spawns >= co.maxAttempts && b.inflight == 0) {
-                co.fatal =
-                    "sweep batch " + std::to_string(index) + "/" +
-                    std::to_string(co.batches.size()) + " (cells " +
-                    std::to_string(b.begin) + "-" +
-                    std::to_string(b.end) + ") failed after " +
-                    std::to_string(b.spawns) + " attempt(s): " +
-                    failure;
-            } else {
-                b.notBefore = deadlineAfter(
-                    0.2 * static_cast<double>(
-                              1 << std::min(b.failures, 6)));
-            }
-        }
-    }
-    co.publishLocked();
-    co.cv.notify_all();
+    const std::string tmpl = backendTemplate(backend_desc);
+    if (tmpl.empty())
+        throw std::runtime_error(
+            "local backend executes in-process; nothing to dispatch");
+    return tmpl;
 }
 
-/// One coordinator worker: lease (or steal) batches until the sweep
-/// is done or fatally failed.
 void
-workerLoop(Coordinator &co)
+writeAll(const std::string &text, std::FILE *out)
 {
-    std::unique_lock<std::mutex> lock(co.mutex);
-    for (;;) {
-        if (!co.fatal.empty() || co.allDone())
-            return;
-        std::size_t claim = co.batches.size();
-        const auto now = Clock::now();
-        for (std::size_t i = 0; i < co.batches.size(); ++i) {
-            Batch &b = co.batches[i];
-            if (b.done || b.spawns >= co.maxAttempts)
-                continue;
-            const bool fresh = b.inflight == 0 && now >= b.notBefore;
-            const bool stale = b.inflight > 0 &&
-                               co.leaseTimeoutSec > 0.0 &&
-                               now >= b.stealAt;
-            if (fresh || stale) {
-                claim = i;
-                break;
-            }
-        }
-        if (claim == co.batches.size()) {
-            co.cv.wait_for(lock, std::chrono::milliseconds(100));
-            continue;
-        }
-        Batch &b = co.batches[claim];
-        ++b.inflight;
-        ++b.spawns;
-        const int attempt = b.spawns;
-        if (co.leaseTimeoutSec > 0.0) {
-            b.stealAt = deadlineAfter(
-                co.leaseTimeoutSec *
-                static_cast<double>(1 << std::min(attempt - 1, 10)));
-        }
-        co.publishLocked();
-        lock.unlock();
-        runAttempt(co, claim, attempt);
-        lock.lock();
-    }
+    if (std::fwrite(text.data(), 1, text.size(), out) != text.size())
+        throw std::runtime_error("dispatch: short write of merged output");
+    std::fflush(out);
 }
 
 /// Contiguous runs of not-yet-done cells, split into batches of at
 /// most `batch_cells`.
-std::vector<Batch>
+std::vector<ShardRange>
 planBatches(std::size_t num_cells,
             const std::map<std::size_t, std::string> &have,
             std::size_t batch_cells)
 {
-    std::vector<Batch> batches;
+    std::vector<ShardRange> batches;
     std::size_t i = 0;
     while (i < num_cells) {
         if (have.count(i)) {
@@ -449,10 +393,7 @@ planBatches(std::size_t num_cells,
         while (j < num_cells && !have.count(j) &&
                j - i < batch_cells)
             ++j;
-        Batch b;
-        b.begin = i;
-        b.end = j;
-        batches.push_back(b);
+        batches.push_back(ShardRange{i, j});
         i = j;
     }
     return batches;
@@ -460,11 +401,155 @@ planBatches(std::size_t num_cells,
 
 } // anonymous namespace
 
+std::vector<std::string>
+runDispatch(const std::vector<DispatchUnit> &units,
+            const BackendConfig &config, double lease_timeout_sec,
+            const std::function<void(std::size_t, const std::string &)>
+                &on_commit,
+            const std::string &work_path)
+{
+    if (config.numShards < 1)
+        throw std::runtime_error("dispatch: shard count must be >= 1");
+    if (units.empty())
+        return {};
+
+    TempDir scratch;
+    Engine e;
+    e.units = &units;
+    e.state.resize(units.size());
+    e.scratchPath = scratch.path();
+    e.onCommit = &on_commit;
+    e.workPath = work_path;
+    e.leaseTimeoutSec = lease_timeout_sec;
+    e.maxAttempts = std::max(1, config.maxAttempts);
+
+    // The first wave is claimed before any slot starts, so with as
+    // many slots as units every unit is launched whatever the timing —
+    // the failure message is deterministic.
+    const std::size_t slots = std::min(
+        static_cast<std::size_t>(config.numShards), units.size());
+    {
+        std::lock_guard<std::mutex> lock(e.mutex);
+        for (std::size_t w = 0; w < slots; ++w)
+            e.claimLocked(w);
+    }
+    // A slot that throws (allocation failure) stops the run instead of
+    // escaping its thread; every started slot is joined either way.
+    const auto abort_run = [&e](const std::string &why) {
+        std::lock_guard<std::mutex> lock(e.mutex);
+        e.fatal = why;
+        e.stop = true;
+        e.cv.notify_all();
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(slots);
+    try {
+        for (std::size_t w = 0; w < slots; ++w) {
+            pool.emplace_back([&e, w, &abort_run] {
+                try {
+                    slotLoop(e, w);
+                } catch (const std::exception &ex) {
+                    abort_run(ex.what());
+                }
+            });
+        }
+    } catch (const std::exception &ex) {
+        abort_run(ex.what());
+    }
+    for (std::thread &t : pool)
+        t.join();
+
+    // Child diagnostics (trace-store stats, warnings, crash reports)
+    // surface in unit order, then attempt order — success or not, so
+    // one failed unit cannot swallow its siblings' output.
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        for (int a = 1; a <= e.state[i].spawns; ++a) {
+            const std::string err =
+                readFileText(e.capturePath(i, a, ".err"));
+            if (err.empty())
+                continue;
+            std::fwrite(err.data(), 1, err.size(), stderr);
+            if (err.back() != '\n')
+                std::fputc('\n', stderr);
+        }
+    }
+    std::fflush(stderr);
+
+    if (e.stop) {
+        std::string msg;
+        for (std::size_t i = 0; i < units.size(); ++i) {
+            const UnitState &u = e.state[i];
+            if (u.done || u.failures == 0)
+                continue;
+            if (!msg.empty())
+                msg += '\n';
+            msg += units[i].name + " failed after " +
+                   std::to_string(u.spawns) +
+                   " attempt(s): " + u.lastError;
+        }
+        if (!e.fatal.empty())
+            msg += (msg.empty() ? "" : "\n") + e.fatal;
+        throw std::runtime_error(msg);
+    }
+    std::vector<std::string> outputs;
+    outputs.reserve(units.size());
+    for (UnitState &u : e.state)
+        outputs.push_back(std::move(u.output));
+    return outputs;
+}
+
+void
+runStaticSweep(const SweepSpec &spec, const std::string &backend_desc,
+               const BackendConfig &config, std::FILE *out)
+{
+    spec.validate();
+    const std::string tmpl = dispatchTemplate(backend_desc);
+    TempDir dir;
+    const std::string spec_path = dir.path() + "/sweep.spec";
+    writeFileText(spec_path, spec.serialize());
+
+    std::vector<DispatchUnit> units;
+    for (int i = 0; i < config.numShards; ++i) {
+        const ShardRange r =
+            shardRange(spec.numCells(), i, config.numShards);
+        if (!r.empty()) {
+            units.push_back(sweepUnit(tmpl, config, spec_path, r.begin,
+                                      r.end, i, config.numShards));
+        }
+    }
+    std::string text = sweepCsvHeader();
+    text += '\n';
+    for (const std::string &rows : runDispatch(units, config))
+        text += rows;
+    writeAll(text, out);
+}
+
+void
+runArgvShards(const std::vector<std::string> &argv,
+              const std::string &backend_desc,
+              const BackendConfig &config, std::FILE *out)
+{
+    const std::string tmpl = dispatchTemplate(backend_desc);
+    const std::string base = joinQuoted(argv);
+    std::vector<DispatchUnit> units;
+    for (int i = 0; i < config.numShards; ++i) {
+        const std::string shard =
+            std::to_string(i) + "/" + std::to_string(config.numShards);
+        DispatchUnit unit;
+        unit.command = unitCommand(tmpl, base + " --shard " + shard, i,
+                                   config.numShards, config.jobs);
+        unit.name = "shard " + shard;
+        units.push_back(std::move(unit));
+    }
+    writeAll(mergeCsvShards(runDispatch(units, config)), out);
+}
+
 void
 runOrchestratedSweep(const SweepSpec &spec,
                      const OrchestratorOptions &options)
 {
     spec.validate();
+    const std::string tmpl = backendTemplate(options.backendDesc);
     const std::size_t num_cells = spec.numCells();
     FaultInjector::instance().armCellCount(num_cells);
 
@@ -487,9 +572,6 @@ runOrchestratedSweep(const SweepSpec &spec,
                      scan.rows.size(), num_cells);
     }
 
-    const auto backend =
-        makeBackend(options.backendDesc, options.backend);
-
     // Batch sizing: ~4 batches per shard slot keeps the queue deep
     // enough to steal from without making child spawns dominate.
     const std::size_t missing = num_cells - scan.rows.size();
@@ -500,14 +582,14 @@ runOrchestratedSweep(const SweepSpec &spec,
         batch_cells = std::max<std::size_t>(1, missing / (slots * 4));
 
     std::map<std::size_t, std::string> rows = std::move(scan.rows);
+    const std::vector<ShardRange> batches =
+        planBatches(num_cells, rows, batch_cells);
 
-    if (missing > 0 && backend->inProcess()) {
+    if (missing > 0 && tmpl.empty()) {
         // In-process: the ExperimentRunner pool already balances
         // cells across workers, so batches execute in order and the
         // ledger advances with each finished cell.
-        std::vector<Batch> batches =
-            planBatches(num_cells, rows, batch_cells);
-        for (const Batch &b : batches) {
+        for (const ShardRange &b : batches) {
             sweepCellRows(spec, b.begin, b.end, options.backend.jobs,
                           [&](std::size_t i, const std::string &row) {
                               std::string r = row;
@@ -519,38 +601,33 @@ runOrchestratedSweep(const SweepSpec &spec,
                           });
         }
     } else if (missing > 0) {
-        ScratchDir scratch;
-        Coordinator co;
-        co.batches = planBatches(num_cells, rows, batch_cells);
-        co.ledger = &ledger;
-        co.workPath =
-            ledger_path.empty() ? "" : ledger_path + ".work";
-        co.specPath = writeSpec(scratch, spec);
-        co.scratchPath = scratch.path();
-        co.backend = backend.get();
-        co.leaseTimeoutSec = options.leaseTimeoutSec;
-        co.maxAttempts =
-            options.maxAttempts > 0 ? options.maxAttempts : 3;
-
-        const std::size_t workers =
-            std::min(slots, co.batches.size());
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w)
-            pool.emplace_back([&co] { workerLoop(co); });
-        for (std::thread &t : pool)
-            t.join();
-        if (!co.fatal.empty())
-            throw std::runtime_error(co.fatal);
-
-        for (const Batch &b : co.batches) {
-            std::size_t pos = 0;
-            std::size_t index = b.begin;
-            while (pos < b.rows.size()) {
-                const std::size_t nl = b.rows.find('\n', pos);
-                rows.emplace(index++, b.rows.substr(pos, nl - pos));
-                pos = nl + 1;
-            }
+        TempDir dir;
+        const std::string spec_path = dir.path() + "/sweep.spec";
+        writeFileText(spec_path, spec.serialize());
+        const int count = static_cast<int>(batches.size());
+        std::vector<DispatchUnit> units;
+        for (int k = 0; k < count; ++k) {
+            units.push_back(sweepUnit(tmpl, options.backend, spec_path,
+                                      batches[k].begin, batches[k].end,
+                                      k, count));
+        }
+        // Every committed batch is durable before it counts as done.
+        const std::vector<std::string> outputs = runDispatch(
+            units, options.backend, options.leaseTimeoutSec,
+            [&](std::size_t k, const std::string &text) {
+                if (ledger.isOpen()) {
+                    forEachRow(text, batches[k].begin,
+                               [&](std::size_t i, std::string row) {
+                                   ledger.append(i, row);
+                               });
+                }
+            },
+            ledger_path.empty() ? "" : ledger_path + ".work");
+        for (std::size_t k = 0; k < outputs.size(); ++k) {
+            forEachRow(outputs[k], batches[k].begin,
+                       [&](std::size_t i, std::string row) {
+                           rows.emplace(i, std::move(row));
+                       });
         }
     }
 
@@ -569,11 +646,7 @@ runOrchestratedSweep(const SweepSpec &spec,
     }
 
     if (options.outPath.empty()) {
-        if (std::fwrite(text.data(), 1, text.size(), stdout) !=
-            text.size())
-            throw std::runtime_error(
-                "orchestrator: short write of merged CSV");
-        std::fflush(stdout);
+        writeAll(text, stdout);
         return;
     }
     // Atomic publish: the output path either holds the complete

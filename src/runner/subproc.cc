@@ -2,7 +2,12 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -122,6 +127,63 @@ commandSucceeded(int status)
 {
     return status != -1 && WIFEXITED(status) &&
            WEXITSTATUS(status) == 0;
+}
+
+TempDir::TempDir()
+{
+    const char *base = std::getenv("TMPDIR");
+    std::string tmpl = (base && *base) ? base : "/tmp";
+    tmpl += "/rubik-dispatch-XXXXXX";
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    if (!::mkdtemp(buf.data()))
+        throw std::runtime_error("cannot create temp directory under " +
+                                 tmpl);
+    path_ = buf.data();
+}
+
+TempDir::~TempDir()
+{
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+}
+
+std::string
+readFileText(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return {};
+    std::string text;
+    char buf[1 << 16];
+    std::size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        text.append(buf, got);
+    std::fclose(f);
+    return text;
+}
+
+void
+writeFileText(const std::string &path, const std::string &text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        throw std::runtime_error("cannot write " + path);
+    const bool ok =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    if (std::fclose(f) != 0 || !ok)
+        throw std::runtime_error("short write to " + path);
+}
+
+std::string
+stderrTail(std::string text)
+{
+    constexpr std::size_t kMax = 4096;
+    if (text.size() > kMax)
+        text = "..." + text.substr(text.size() - kMax);
+    while (!text.empty() && text.back() == '\n')
+        text.pop_back();
+    return text;
 }
 
 } // namespace rubik

@@ -3,17 +3,18 @@
 
 /**
  * @file
- * Child-process plumbing for the dispatch backends and the
- * orchestrator: spawn a shell command with redirected stdio, wait with
- * or without a deadline, and kill a straggler's whole process group.
+ * Child-process plumbing for the dispatch engine
+ * (runner/orchestrator.h): spawn a shell command with redirected
+ * stdio, wait with or without a deadline, kill a straggler's whole
+ * process group, and the scratch-file helpers around them.
  *
  * Unlike std::system("( cmd ) > out 2> err"), spawnShellCommand
  * redirects in the forked child *before* exec'ing `sh -c cmd`, so for
  * a simple command the shell execs it directly and the pid we hold is
  * the command itself — a child killed by SIGKILL surfaces as
  * WIFSIGNALED (decoded "killed by signal 9"), not as a subshell's
- * exit 137. That decoded status is what backend/orchestrator error
- * messages report, so a signal death is never mistaken for an
+ * exit 137. That decoded status is what dispatch error messages
+ * report, so a signal death is never mistaken for an
  * application exit code.
  *
  * Children are placed in their own process group, so
@@ -62,6 +63,34 @@ std::string describeWaitStatus(int status);
 
 /// True when the status is a clean exit 0.
 bool commandSucceeded(int status);
+
+/// mkdtemp-backed scratch directory under $TMPDIR (default /tmp),
+/// recursively removed on scope exit.
+class TempDir
+{
+  public:
+    TempDir();
+    ~TempDir();
+
+    TempDir(const TempDir &) = delete;
+    TempDir &operator=(const TempDir &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
+/// Whole content of `path`; "" when it cannot be opened.
+std::string readFileText(const std::string &path);
+
+/// Write `text` to `path` (truncating). Throws std::runtime_error on
+/// a failed open or a short write.
+void writeFileText(const std::string &path, const std::string &text);
+
+/// The last 4 KiB of a captured stderr text, trailing newlines
+/// stripped — what error messages quote.
+std::string stderrTail(std::string text);
 
 } // namespace rubik
 

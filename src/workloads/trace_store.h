@@ -25,7 +25,7 @@
  *
  * On-disk cache: setCacheDir() (or the RUBIK_TRACE_CACHE environment
  * variable, for the global store) adds a persistent layer below the
- * in-memory map, so *separate processes* — e.g. SubprocessBackend
+ * in-memory map, so *separate processes* — e.g. `subprocess`-backend
  * shard children on one machine — generate each shared trace exactly
  * once. Entries are key-hashed files in the versioned binary format
  * (sim/trace.h), written to a temp name and atomically renamed, with a

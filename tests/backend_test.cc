@@ -1,19 +1,23 @@
 /**
  * @file
- * Tests for the pluggable execution backends (runner/backend.h):
- * backend-description parsing, shell quoting, command-template
- * instantiation and validation, deterministic in-order shard merging
- * under adversarial completion order, per-shard retry, nonzero-exit +
- * stderr propagation (a failed shard must throw, never silently merge
- * a partial CSV), and — when the RUBIK_CLI environment variable points
- * at the built rubik_cli — end-to-end byte identity of SubprocessBackend
- * against LocalThreadBackend with a shared on-disk trace cache.
+ * Tests for the dispatch backends (runner/backend.h) and the one
+ * dispatch engine behind them (runner/orchestrator.h): backend
+ * descriptions, shell quoting, command-template instantiation and
+ * validation, the canonical sweep batch command, deterministic
+ * in-order merging under adversarial completion order, per-unit
+ * retry, nonzero-exit + stderr propagation (a failed unit must throw,
+ * never silently merge a partial CSV), checked static sweep output,
+ * strict dispatch flags, and — when the RUBIK_CLI environment
+ * variable points at the built rubik_cli — end-to-end byte identity
+ * of a subprocess-dispatched sweep against the in-process run with a
+ * shared on-disk trace cache.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,11 +25,15 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "runner/backend.h"
+#include "runner/orchestrator.h"
+#include "runner/subproc.h"
+#include "runner/sweep_runner.h"
 #include "runner/sweep_spec.h"
 
 namespace rubik {
@@ -93,6 +101,29 @@ countTraceFiles(const std::string &dir)
     return n;
 }
 
+/**
+ * Dispatch `command_for(i)` for each of `num_shards` units named
+ * "shard i/N" through the engine with `max_attempts` attempts each and
+ * write the outputs, merged in unit order, to `out`.
+ */
+void
+dispatchCommands(int num_shards,
+                 const std::function<std::string(int)> &command_for,
+                 int max_attempts, std::FILE *out)
+{
+    std::vector<DispatchUnit> units(num_shards);
+    for (int i = 0; i < num_shards; ++i) {
+        units[i].command = command_for(i);
+        units[i].name = "shard " + std::to_string(i) + "/" +
+                        std::to_string(num_shards);
+    }
+    BackendConfig cfg;
+    cfg.numShards = num_shards;
+    cfg.maxAttempts = max_attempts;
+    const std::string merged = mergeCsvShards(runDispatch(units, cfg));
+    std::fwrite(merged.data(), 1, merged.size(), out);
+}
+
 TEST(ShellQuote, QuotesArguments)
 {
     EXPECT_EQ(shellQuote("plain"), "'plain'");
@@ -117,33 +148,33 @@ TEST(CommandTemplate, KeepsUnknownPlaceholdersAndBraces)
               "echo ${VAR} {nope} {");
 }
 
-TEST(MakeBackend, ParsesDescriptions)
+TEST(BackendTemplate, ParsesDescriptions)
 {
-    BackendConfig cfg;
-    EXPECT_STREQ(makeBackend("local", cfg)->name(), "local");
-    EXPECT_TRUE(makeBackend("local", cfg)->inProcess());
-    EXPECT_STREQ(makeBackend("subprocess", cfg)->name(), "subprocess");
-    EXPECT_FALSE(makeBackend("subprocess", cfg)->inProcess());
-    EXPECT_STREQ(makeBackend("command:echo {shard}", cfg)->name(),
-                 "command");
+    EXPECT_EQ(backendTemplate("local"), "");
+    EXPECT_EQ(backendTemplate(""), "");
+    // subprocess is exactly the canonical-child template.
+    EXPECT_EQ(backendTemplate("subprocess"), "{argv}");
+    EXPECT_EQ(backendTemplate("command:echo {shard}"), "echo {shard}");
 
-    EXPECT_THROW(makeBackend("ssh", cfg), std::runtime_error);
-    EXPECT_THROW(makeBackend("command:", cfg), std::runtime_error);
+    EXPECT_THROW(backendTemplate("ssh"), std::runtime_error);
+    EXPECT_THROW(backendTemplate("command:"), std::runtime_error);
     // A template with no shard placeholder would run N identical
-    // commands — rejected at construction.
-    EXPECT_THROW(makeBackend("command:echo hello", cfg),
+    // commands — rejected up front.
+    EXPECT_THROW(backendTemplate("command:echo hello"),
                  std::runtime_error);
 
+    BackendConfig cfg;
     cfg.numShards = 0;
-    EXPECT_THROW(makeBackend("local", cfg), std::runtime_error);
+    EXPECT_THROW(runArgvShards({"x"}, "subprocess", cfg, stdout),
+                 std::runtime_error);
 }
 
-TEST(RunShardCommands, MergesInShardOrderDespiteCompletionOrder)
+TEST(RunDispatch, MergesInShardOrderDespiteCompletionOrder)
 {
     // Later shards finish first (inverse sleeps); the merge must still
     // be in shard-index order, with the header-once convention intact.
     const std::string out = captureOutput([&](std::FILE *f) {
-        runShardCommands(
+        dispatchCommands(
             3,
             [](int i) {
                 std::string cmd = "sleep 0." +
@@ -157,11 +188,11 @@ TEST(RunShardCommands, MergesInShardOrderDespiteCompletionOrder)
     EXPECT_EQ(out, "h\nrow0\nrow1\nrow2\n");
 }
 
-TEST(RunShardCommands, PropagatesExitStatusAndStderr)
+TEST(RunDispatch, PropagatesExitStatusAndStderr)
 {
     try {
         captureOutput([&](std::FILE *f) {
-            runShardCommands(
+            dispatchCommands(
                 3,
                 [](int i) {
                     return "echo boom-" + std::to_string(i) +
@@ -180,13 +211,13 @@ TEST(RunShardCommands, PropagatesExitStatusAndStderr)
     }
 }
 
-TEST(RunShardCommands, FailedShardWritesNothing)
+TEST(RunDispatch, FailedShardWritesNothing)
 {
     // One bad shard out of three: the output stream must stay empty —
     // no partially merged CSV.
     std::string out;
     EXPECT_THROW(out = captureOutput([&](std::FILE *f) {
-                     runShardCommands(
+                     dispatchCommands(
                          3,
                          [](int i) {
                              if (i == 1)
@@ -199,7 +230,7 @@ TEST(RunShardCommands, FailedShardWritesNothing)
     EXPECT_EQ(out, "");
 }
 
-TEST(RunShardCommands, ReplaysEveryShardsStderrOnFailure)
+TEST(RunDispatch, ReplaysEveryShardsStderrOnFailure)
 {
     // Shard 0 fails, shard 1 succeeds — BOTH stderr captures must be
     // replayed (in shard order), not just the failing shard's. A
@@ -220,7 +251,7 @@ TEST(RunShardCommands, ReplaysEveryShardsStderrOnFailure)
     std::string msg;
     try {
         captureOutput([&](std::FILE *f) {
-            runShardCommands(
+            dispatchCommands(
                 2,
                 [](int i) {
                     if (i == 0)
@@ -250,14 +281,14 @@ TEST(RunShardCommands, ReplaysEveryShardsStderrOnFailure)
     EXPECT_NE(msg.find("shard 0/2"), std::string::npos) << msg;
 }
 
-TEST(RunShardCommands, RetriesTransientFailures)
+TEST(RunDispatch, RetriesTransientFailures)
 {
     ScratchDir dir;
     ASSERT_FALSE(dir.path.empty());
     // Each shard fails its first attempt (no flag file yet), then
     // succeeds on the retry.
     const std::string out = captureOutput([&](std::FILE *f) {
-        runShardCommands(
+        dispatchCommands(
             2,
             [&](int i) {
                 const std::string flag =
@@ -273,71 +304,109 @@ TEST(RunShardCommands, RetriesTransientFailures)
 
 TEST(CommandBackend, RunsSweepThroughTemplate)
 {
-    // A fake "remote" command: emits a recognizable CSV per shard
-    // instead of simulating. Shard 0 carries the header.
+    // A fake "remote" command: emits recognizable 12-field rows for
+    // its {cells} range instead of simulating, and — like a
+    // `--shard {shard}` child — the sweep header on shard 0, which the
+    // row check drops. tinySpec has 4 cells: shards 0-2 own 1, 1, 2.
     BackendConfig cfg;
     cfg.numShards = 3;
-    const auto backend = makeBackend(
-        "command:test -f {spec} || exit 4; "
-        "test {index} -eq 0 && echo h; echo row{index}",
-        cfg);
     const std::string out = captureOutput([&](std::FILE *f) {
-        backend->runSweepSpec(tinySpec(), f);
+        runStaticSweep(
+            tinySpec(),
+            std::string("command:test -f {spec} || exit 4; "
+                        "test {index} -eq 0 && echo ") +
+                sweepCsvHeader() +
+                "; c={cells}; i=${c%-*}; while [ $i -lt ${c#*-} ]; "
+                "do echo s{index}c$i,1,2,3,4,5,6,7,8,9,10,11; "
+                "i=$((i + 1)); done",
+            cfg, f);
     });
-    EXPECT_EQ(out, "h\nrow0\nrow1\nrow2\n");
+    EXPECT_EQ(out, std::string(sweepCsvHeader()) + "\n" +
+                       "s0c0,1,2,3,4,5,6,7,8,9,10,11\n"
+                       "s1c1,1,2,3,4,5,6,7,8,9,10,11\n"
+                       "s2c2,1,2,3,4,5,6,7,8,9,10,11\n"
+                       "s2c3,1,2,3,4,5,6,7,8,9,10,11\n");
 }
 
-TEST(CommandBackend, ArgvForwardsTraceFlagsLikeSubprocess)
+TEST(CommandBackend, StaticSweepRejectsNonCsvRows)
 {
-    // {argv} must carry the same forwarded flags SubprocessBackend
-    // passes its children — a command-dispatched sweep with a trace
-    // cache would otherwise silently regenerate every shared trace
-    // once per shard.
+    // Children that exit 0 with a line that is not sweep rows must
+    // fail the sweep naming the shard and its cells — never publish
+    // the line as the CSV.
+    BackendConfig cfg;
+    cfg.numShards = 2;
+    std::string out;
+    try {
+        out = captureOutput([&](std::FILE *f) {
+            runStaticSweep(tinySpec(), "command:echo x; : {index}", cfg,
+                           f);
+        });
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("shard 0/2 (cells 0-2)"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("has 1 fields (want 12)"), std::string::npos)
+            << msg;
+    }
+    EXPECT_EQ(out, "");
+}
+
+TEST(CommandBackend, SubprocessBuildsTheCommandArgvChild)
+{
+    // `subprocess` and `command:{argv}` must build the byte-identical
+    // child: a command-dispatched sweep with a trace cache would
+    // otherwise silently regenerate every shared trace per shard.
     BackendConfig cfg;
     cfg.numShards = 2;
     cfg.jobs = 3;
     cfg.traceCacheDir = "/tmp/tc";
+    cfg.traceCacheCap = "64M";
     cfg.traceStats = true;
-    const auto backend = makeBackend("command:echo {argv}", cfg);
-    const std::string out = captureOutput([&](std::FILE *f) {
-        backend->runSweepSpec(tinySpec(), f);
-    });
-    EXPECT_NE(out.find("--trace-cache /tmp/tc"), std::string::npos)
-        << out;
-    EXPECT_NE(out.find("--trace-stats"), std::string::npos) << out;
-    EXPECT_NE(out.find("--jobs 3"), std::string::npos) << out;
-    EXPECT_NE(out.find("--shard 0/2"), std::string::npos) << out;
-    EXPECT_NE(out.find("--shard 1/2"), std::string::npos) << out;
+    cfg.selfExe = "/opt/rubik/rubik_cli";
+    const std::string sub = sweepBatchCommand(
+        backendTemplate("subprocess"), cfg, "/work/grid.spec", 2, 4, 1, 2);
+    const std::string cmd =
+        sweepBatchCommand(backendTemplate("command:{argv}"), cfg,
+                          "/work/grid.spec", 2, 4, 1, 2);
+    EXPECT_EQ(sub, cmd);
+    EXPECT_EQ(sub, "'/opt/rubik/rubik_cli' 'sweep' '--spec' "
+                   "'/work/grid.spec' '--jobs' '3' '--trace-cache' "
+                   "'/tmp/tc' '--cache-cap' '64M' '--trace-stats' "
+                   "'--cells' '2-4'");
 }
 
-TEST(CommandBackend, DispatchArgvSubstitutesArgv)
+TEST(CommandBackend, ArgvShardsSubstituteArgv)
 {
     BackendConfig cfg;
     cfg.numShards = 2;
-    const auto backend = makeBackend("command:echo {argv}", cfg);
     const std::string out = captureOutput([&](std::FILE *f) {
-        backend->dispatchArgv({"mybench", "--csv"}, f);
+        runArgvShards({"mybench", "--csv"}, "command:echo {argv}", cfg,
+                      f);
     });
     // {argv} carries shell-quoted words; echo strips the quotes.
     EXPECT_EQ(out, "mybench --csv --shard 0/2\n"
                    "mybench --csv --shard 1/2\n");
 }
 
-TEST(SubprocessBackend, PropagatesChildFailure)
+TEST(SubprocessDispatch, PropagatesChildFailure)
 {
     BackendConfig cfg;
     cfg.numShards = 2;
     cfg.selfExe = "/bin/false"; // every "child" exits 1 immediately
-    const auto backend = makeBackend("subprocess", cfg);
     try {
         captureOutput([&](std::FILE *f) {
-            backend->runSweepSpec(tinySpec(), f);
+            runStaticSweep(tinySpec(), "subprocess", cfg, f);
         });
         FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error &e) {
         const std::string msg = e.what();
         EXPECT_NE(msg.find("shard 0/2"), std::string::npos) << msg;
         EXPECT_NE(msg.find("exited with status 1"), std::string::npos)
+            << msg;
+        // The default budget is 3 attempts for every backend.
+        EXPECT_NE(msg.find("failed after 3 attempt(s)"),
+                  std::string::npos)
             << msg;
     }
 }
@@ -355,7 +424,7 @@ writeScript(const ScratchDir &dir, const std::string &name,
     return path;
 }
 
-TEST(SubprocessBackend, DecodesSigkilledChild)
+TEST(SubprocessDispatch, DecodesSigkilledChild)
 {
     // A child killed by a signal mid-shard must surface as "killed by
     // signal 9" with the shard index — not as a masked exit code 137
@@ -369,10 +438,10 @@ TEST(SubprocessBackend, DecodesSigkilledChild)
     // matter how many shells sit between it and this script.
     cfg.selfExe = writeScript(dir, "selfkill9",
                               "echo dying-hard >&2\nkill -KILL 0");
-    const auto backend = makeBackend("subprocess", cfg);
+    cfg.maxAttempts = 1;
     try {
         captureOutput([&](std::FILE *f) {
-            backend->runSweepSpec(tinySpec(), f);
+            runStaticSweep(tinySpec(), "subprocess", cfg, f);
         });
         FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error &e) {
@@ -384,7 +453,7 @@ TEST(SubprocessBackend, DecodesSigkilledChild)
     }
 }
 
-TEST(SubprocessBackend, DecodesSigtermedChild)
+TEST(SubprocessDispatch, DecodesSigtermedChild)
 {
     ScratchDir dir;
     ASSERT_FALSE(dir.path.empty());
@@ -392,10 +461,10 @@ TEST(SubprocessBackend, DecodesSigtermedChild)
     cfg.numShards = 2;
     cfg.selfExe = writeScript(dir, "selfkill15",
                               "echo terminated >&2\nkill -TERM 0");
-    const auto backend = makeBackend("subprocess", cfg);
+    cfg.maxAttempts = 1;
     try {
         captureOutput([&](std::FILE *f) {
-            backend->runSweepSpec(tinySpec(), f);
+            runStaticSweep(tinySpec(), "subprocess", cfg, f);
         });
         FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error &e) {
@@ -407,46 +476,36 @@ TEST(SubprocessBackend, DecodesSigtermedChild)
     }
 }
 
-TEST(LocalThreadBackend, ShardedRunMatchesUnsharded)
+TEST(LocalSweep, ShardedRunMatchesUnsharded)
 {
+    // A local sweep runs in-process through runSweep, whose shards
+    // concatenate to the unsharded bytes.
     const SweepSpec spec = tinySpec();
-    BackendConfig cfg;
-    cfg.jobs = 2;
-    const auto local = makeBackend("local", cfg);
     const std::string unsharded = captureOutput(
-        [&](std::FILE *f) { local->runSweepSpec(spec, f); });
+        [&](std::FILE *f) { runSweep(spec, 0, 1, 2, f); });
     EXPECT_NE(unsharded.find("app,policy,load,seed"),
               std::string::npos);
 
-    cfg.numShards = 3;
-    const auto sharded = makeBackend("local", cfg);
-    const std::string merged = captureOutput(
-        [&](std::FILE *f) { sharded->runSweepSpec(spec, f); });
+    const std::string merged = captureOutput([&](std::FILE *f) {
+        for (int i = 0; i < 3; ++i)
+            runSweep(spec, i, 3, 2, f);
+    });
     EXPECT_EQ(merged, unsharded);
-}
-
-TEST(LocalThreadBackend, RefusesDispatchArgv)
-{
-    BackendConfig cfg;
-    EXPECT_THROW(makeBackend("local", cfg)->dispatchArgv({"x"}, stdout),
-                 std::runtime_error);
 }
 
 // End-to-end: the real rubik_cli, three shard children, a shared
 // on-disk trace cache — bytes must match the local backend and the
 // cache must hold each trace exactly once. Needs the built CLI, whose
 // path CMake passes via the RUBIK_CLI test environment variable.
-TEST(SubprocessBackend, MatchesLocalBackendByteForByte)
+TEST(SubprocessDispatch, MatchesLocalBackendByteForByte)
 {
     const char *cli = std::getenv("RUBIK_CLI");
     if (!cli || !*cli || !std::filesystem::exists(cli))
         GTEST_SKIP() << "RUBIK_CLI not set or missing";
 
     const SweepSpec spec = tinySpec();
-    BackendConfig local_cfg;
-    const std::string local = captureOutput([&](std::FILE *f) {
-        makeBackend("local", local_cfg)->runSweepSpec(spec, f);
-    });
+    const std::string local = captureOutput(
+        [&](std::FILE *f) { runSweep(spec, 0, 1, 0, f); });
 
     ScratchDir cache;
     ASSERT_FALSE(cache.path.empty());
@@ -454,20 +513,62 @@ TEST(SubprocessBackend, MatchesLocalBackendByteForByte)
     cfg.numShards = 3;
     cfg.selfExe = cli;
     cfg.traceCacheDir = cache.path;
-    const auto backend = makeBackend("subprocess", cfg);
 
-    const std::string cold = captureOutput(
-        [&](std::FILE *f) { backend->runSweepSpec(spec, f); });
+    const std::string cold = captureOutput([&](std::FILE *f) {
+        runStaticSweep(spec, "subprocess", cfg, f);
+    });
     EXPECT_EQ(cold, local);
     // tinySpec uses a fixed bound, so the only traces are the two
     // (app, load, seed) grid combinations — each cached exactly once
     // even though concurrent children shared them.
     EXPECT_EQ(countTraceFiles(cache.path), 2);
 
-    const std::string warm = captureOutput(
-        [&](std::FILE *f) { backend->runSweepSpec(spec, f); });
+    const std::string warm = captureOutput([&](std::FILE *f) {
+        runStaticSweep(spec, "subprocess", cfg, f);
+    });
     EXPECT_EQ(warm, local);
     EXPECT_EQ(countTraceFiles(cache.path), 2);
+}
+
+// Dispatch flags parse strictly: a malformed or out-of-range value is
+// a named error (exit 1), never a silent 0 or default.
+TEST(SweepFlags, RejectMalformedDispatchValues)
+{
+    const char *cli = std::getenv("RUBIK_CLI");
+    if (!cli || !*cli || !std::filesystem::exists(cli))
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    ScratchDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    const std::string spec_path = dir.path + "/grid.spec";
+    {
+        std::ofstream spec(spec_path, std::ios::binary);
+        spec << tinySpec().serialize();
+    }
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"--jobs", "abc"},
+        {"--shards", "2x"},
+        {"--lease-timeout", "nope"},
+        {"--retries", "-1"},
+        {"--lease-timeout", "inf"},
+        {"--batch-cells", "-3"},
+    };
+    for (const auto &[flag, value] : cases) {
+        const std::string err = dir.path + "/err.txt";
+        const int status = waitCommand(spawnShellCommand(
+            shellQuote(cli) + " sweep --spec " + shellQuote(spec_path) +
+                " " + flag + " " + shellQuote(value),
+            dir.path + "/out.csv", err));
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1)
+            << flag << " " << value << ": "
+            << describeWaitStatus(status);
+        std::ifstream in(err, std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        EXPECT_NE(text.str().find(flag + ": invalid value '" + value +
+                                  "'"),
+                  std::string::npos)
+            << text.str();
+    }
 }
 
 } // namespace

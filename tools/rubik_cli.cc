@@ -59,6 +59,7 @@
 #include <ctime>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -371,20 +372,19 @@ sweepMain(int argc, char **argv)
     double lease_timeout = 0.0;
     bool resume = false;
     int jobs = 0;
-    int dispatch_shards = 1, retries = -1;
+    int dispatch_shards = 1;
+    int retries = BackendConfig().maxAttempts - 1;
     bool dry_run = false, trace_stats = false;
     ShardOption shard;
     CommonRunOptions run;
     OptionsParser parser(argc, argv, 2);
     parser.value("--spec", [&](const char *v) { spec_path = v; });
     addShardFlag(parser, &shard);
-    parser.value("--jobs", [&](const char *v) { jobs = std::atoi(v); });
+    parser.number("--jobs", &jobs, 0);
     parser.value("--backend", [&](const char *v) { backend_desc = v; });
-    parser.value("--shards", [&](const char *v) {
-        dispatch_shards = std::atoi(v);
-    });
-    parser.value("--retries",
-                 [&](const char *v) { retries = std::atoi(v); });
+    parser.number("--shards", &dispatch_shards, 1);
+    parser.number("--retries", &retries, 0,
+                  std::numeric_limits<int>::max() - 1);
     parser.value("--trace-cache",
                  [&](const char *v) { trace_cache = v; });
     parser.value("--cache-cap", [&](const char *v) { cache_cap = v; });
@@ -395,10 +395,8 @@ sweepMain(int argc, char **argv)
     parser.value("--ledger", [&](const char *v) { ledger_path = v; });
     parser.flag("--resume", [&] { resume = true; });
     parser.value("--schedule", [&](const char *v) { schedule = v; });
-    parser.value("--batch-cells",
-                 [&](const char *v) { batch_cells = std::atoll(v); });
-    parser.value("--lease-timeout",
-                 [&](const char *v) { lease_timeout = std::atof(v); });
+    parser.number("--batch-cells", &batch_cells, 0LL);
+    parser.number("--lease-timeout", &lease_timeout, 0.0);
     parser.value("--fault", [&](const char *v) { fault_spec = v; });
     addSimdFlag(parser, &run);
     parser.onUnknown([](const char *token) {
@@ -461,12 +459,6 @@ sweepMain(int argc, char **argv)
                      "orchestration flags\n");
         return 1;
     }
-    if (batch_cells < 0 || lease_timeout < 0.0) {
-        std::fprintf(stderr,
-                     "sweep: --batch-cells and --lease-timeout must "
-                     "be >= 0\n");
-        return 1;
-    }
     if (!fault_spec.empty()) {
         // Arm this process AND export the spec so dispatched batch
         // children inherit it (the scheduler strips it from retries).
@@ -498,11 +490,14 @@ sweepMain(int argc, char **argv)
                 return 1;
             }
             runSweepCells(spec, begin, end, jobs, stdout);
-        } else if (orchestrated) {
+        } else if (!orchestrated && backend_desc == "local") {
+            runSweep(spec, shard.shard, shard.numShards, jobs, stdout);
+        } else {
             OrchestratorOptions opt;
             opt.backendDesc = backend_desc;
             opt.backend.numShards = dispatch_shards;
             opt.backend.jobs = jobs;
+            opt.backend.maxAttempts = retries + 1;
             opt.backend.traceCacheDir = trace_cache;
             opt.backend.traceCacheCap = cache_cap;
             opt.backend.traceStats = trace_stats;
@@ -512,21 +507,10 @@ sweepMain(int argc, char **argv)
             opt.resume = resume;
             opt.batchCells = static_cast<std::size_t>(batch_cells);
             opt.leaseTimeoutSec = lease_timeout;
-            opt.maxAttempts = retries >= 0 ? retries + 1 : 0;
-            runOrchestratedSweep(spec, opt);
-        } else if (backend_desc == "local" && dispatch_shards == 1) {
-            runSweep(spec, shard.shard, shard.numShards, jobs, stdout);
-        } else {
-            BackendConfig cfg;
-            cfg.numShards = dispatch_shards;
-            cfg.jobs = jobs;
-            cfg.maxAttempts = retries >= 0 ? retries + 1 : 0;
-            cfg.traceCacheDir = trace_cache;
-            cfg.traceCacheCap = cache_cap;
-            cfg.traceStats = trace_stats;
-            cfg.selfExe = selfExePath(argv[0]);
-            const auto backend = makeBackend(backend_desc, cfg);
-            backend->runSweepSpec(spec, stdout);
+            if (orchestrated)
+                runOrchestratedSweep(spec, opt);
+            else
+                runStaticSweep(spec, backend_desc, opt.backend, stdout);
         }
         // A warm run performs no cache writes, so the write-triggered
         // enforcement never fires; converge an over-cap store here.
