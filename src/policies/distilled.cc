@@ -38,7 +38,31 @@ readRaw(const char *data)
     return value;
 }
 
+/// Shape actually trained: distill() rounds 0 positions up to 1 and
+/// fewer than 2 age buckets up to 2.
+std::size_t
+effectivePositions(const DistilledConfig &config)
+{
+    return std::max<std::size_t>(1, config.maxPositions);
+}
+
+std::size_t
+effectiveBuckets(const DistilledConfig &config)
+{
+    return std::max<std::size_t>(2, config.ageBuckets);
+}
+
 } // anonymous namespace
+
+void
+DistilledModel::checkShape(std::size_t rows, const DistilledConfig &config)
+{
+    // Divide instead of multiplying, so no product can overflow.
+    std::size_t room = kMaxLutBytes / effectiveBuckets(config);
+    room /= effectivePositions(config);
+    if (rows > room)
+        throw std::runtime_error("distilled model: LUT too large");
+}
 
 DistilledModel
 DistilledModel::distill(RubikController &exact, const DvfsModel &dvfs,
@@ -46,6 +70,7 @@ DistilledModel::distill(RubikController &exact, const DvfsModel &dvfs,
 {
     RUBIK_ASSERT(exact.warm(),
                  "distill: exact controller must be warm (table built)");
+    checkShape(exact.table()->rowBounds().size(), config);
     // Train against the uncapped decision: the cap is a decide-time
     // clamp (capCeiling re-applies it in DistilledPolicy), not a table
     // property — and the probe views below carry no power model, so a
@@ -56,8 +81,8 @@ DistilledModel::distill(RubikController &exact, const DvfsModel &dvfs,
 
     DistilledModel m;
     m.cfg_ = config;
-    m.maxPositions_ = std::max<std::size_t>(1, config.maxPositions);
-    m.ageBuckets_ = std::max<std::size_t>(2, config.ageBuckets);
+    m.maxPositions_ = effectivePositions(config);
+    m.ageBuckets_ = effectiveBuckets(config);
     m.trainedTarget_ = exact.internalTarget();
     RUBIK_ASSERT(m.trainedTarget_ > 0.0, "distill: latency target not set");
     m.rowBounds_ = exact.table()->rowBounds();
@@ -263,8 +288,9 @@ DistilledModel::deserialize(const std::string &bytes)
     if (m.maxPositions_ == 0 || m.ageBuckets_ < 2 || nLeaves == 0 ||
         nLeaves > kMaxLeaves || nRows == 0 || nRows > (1u << 20) ||
         m.maxPositions_ > (1u << 20) || m.ageBuckets_ > (1u << 24) ||
-        !(m.trainedTarget_ > 0.0))
+        !(m.trainedTarget_ > 0.0) || !std::isfinite(m.trainedTarget_))
         throw std::runtime_error("distilled model: shape corrupt");
+    checkShape(nRows, m.cfg_);
     const uint64_t doubles =
         nLeaves + nRows +
         nRows * m.maxPositions_ * (nLeaves - 1);

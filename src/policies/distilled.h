@@ -80,6 +80,18 @@ class DistilledModel
 
     bool trained() const { return !lut_.empty(); }
 
+    /// Largest LUT (rows x positions x age buckets, one byte each) a
+    /// model may have: the default shape needs 2 MiB.
+    static constexpr std::size_t kMaxLutBytes = std::size_t(64) << 20;
+
+    /**
+     * Throws std::runtime_error("distilled model: LUT too large") when
+     * a model of `rows` table rows and `config`'s shape would need a
+     * LUT over kMaxLutBytes. distill() and deserialize() check this
+     * before allocating; the daemon checks it at startup.
+     */
+    static void checkShape(std::size_t rows, const DistilledConfig &config);
+
     /**
      * Fast-path decision. Pure LUT walk; no fallback here — when a
      * boundary bucket or an out-of-range view is hit, `*needExact` is

@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include <poll.h>
@@ -59,32 +61,52 @@ writeAll(int fd, const std::string &s)
     return true;
 }
 
-/// Parse a double token; false on trailing garbage.
+/**
+ * The first kMax tokens of one request line, split on ' ' in place:
+ * each token's terminator is overwritten with '\0', so a token is a
+ * C string that strtod stops reading at the token's end (or at a NUL
+ * inside it). `count` counts every token.
+ */
+struct Tokens
+{
+    static constexpr std::size_t kMax = 5;
+    std::string_view tok[kMax];
+    std::size_t count = 0;
+};
+
+/// Split [p, end) in place; *end must be writable (the line's '\n' or
+/// '\r').
+Tokens
+tokenize(char *p, char *end)
+{
+    Tokens t;
+    *end = '\0';
+    while (p < end) {
+        while (p < end && *p == ' ')
+            ++p;
+        char *q = p;
+        while (q < end && *q != ' ')
+            ++q;
+        if (q > p) {
+            if (t.count < Tokens::kMax)
+                t.tok[t.count] =
+                    std::string_view(p, static_cast<std::size_t>(q - p));
+            ++t.count;
+            *q = '\0';
+        }
+        p = q + 1;
+    }
+    return t;
+}
+
+/// Parse a NUL-terminated token as a double; false on trailing garbage.
 bool
-parseDouble(const std::string &tok, double *out)
+parseDouble(std::string_view tok, double *out)
 {
     char *end = nullptr;
     errno = 0;
-    *out = std::strtod(tok.c_str(), &end);
-    return end && *end == '\0' && end != tok.c_str() && errno == 0;
-}
-
-std::vector<std::string>
-splitTokens(const std::string &line)
-{
-    std::vector<std::string> toks;
-    std::size_t i = 0;
-    while (i < line.size()) {
-        while (i < line.size() && line[i] == ' ')
-            ++i;
-        std::size_t j = i;
-        while (j < line.size() && line[j] != ' ')
-            ++j;
-        if (j > i)
-            toks.push_back(line.substr(i, j - i));
-        i = j;
-    }
-    return toks;
+    *out = std::strtod(tok.data(), &end);
+    return end && *end == '\0' && end != tok.data() && errno == 0;
 }
 
 std::string
@@ -119,67 +141,78 @@ replayJson(const DvfsModel &dvfs, const DaemonConfig &cfg,
     return buf;
 }
 
-/// One request line -> one reply line (no trailing newline). Sets
-/// *shutdown when the client asked the daemon to exit.
-std::string
-handleLine(ServeEngine &engine, const DvfsModel &dvfs,
-           const DaemonConfig &cfg, const std::string &line,
-           bool *shutdown)
+/// Append the reply to one decision: "f <freq_hz>" or "err <why>".
+void
+appendDecision(std::string &out, const ServeDecision &d)
 {
-    const std::vector<std::string> toks = splitTokens(line);
-    if (toks.empty())
-        return "err empty request";
-    const std::string &cmd = toks[0];
+    if (!d.ok) {
+        out += "err ";
+        out += d.error;
+        return;
+    }
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof(buf), "f %.9g", d.frequency);
+    out.append(buf, static_cast<std::size_t>(n));
+}
 
-    if (cmd == "ping")
-        return "ok";
-    if (cmd == "stats")
-        return engine.statsJson();
-    if (cmd == "shutdown") {
+/// Answer the request line [line, end) by appending its reply line
+/// (no trailing newline) to `out`; *end must be writable. Sets
+/// *shutdown when the client asked the daemon to exit.
+void
+handleLine(ServeEngine &engine, const DvfsModel &dvfs,
+           const DaemonConfig &cfg, char *line, char *end,
+           std::string &out, bool *shutdown)
+{
+    const Tokens t = tokenize(line, end);
+    if (t.count == 0) {
+        out += "err empty request";
+        return;
+    }
+    const std::string_view cmd = t.tok[0];
+
+    if (cmd == "ping") {
+        out += "ok";
+    } else if (cmd == "stats") {
+        out += engine.statsJson();
+    } else if (cmd == "shutdown") {
         *shutdown = true;
-        return "ok";
-    }
-    if (cmd == "a") {
-        double t = 0.0, elapsed = 0.0, hint = -1.0;
-        if (toks.size() < 2 || toks.size() > 4 ||
-            !parseDouble(toks[1], &t) ||
-            (toks.size() > 2 && !parseDouble(toks[2], &elapsed)) ||
-            (toks.size() > 3 && !parseDouble(toks[3], &hint)))
-            return "err usage: a <t> [elapsed_cycles] [class_hint]";
-        const ServeDecision d =
-            engine.onArrival(t, elapsed, static_cast<int>(hint));
-        if (!d.ok)
-            return std::string("err ") + d.error;
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "f %.9g", d.frequency);
-        return buf;
-    }
-    if (cmd == "c") {
-        double t = 0.0, cycles = 0.0, mem = 0.0;
-        if (toks.size() != 4 || !parseDouble(toks[1], &t) ||
-            !parseDouble(toks[2], &cycles) ||
-            !parseDouble(toks[3], &mem))
-            return "err usage: c <t> <compute_cycles> <memory_time>";
-        const ServeDecision d = engine.onCompletion(t, cycles, mem);
-        if (!d.ok)
-            return std::string("err ") + d.error;
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "f %.9g", d.frequency);
-        return buf;
-    }
-    if (cmd == "replay") {
-        if (toks.size() < 2 || toks.size() > 3)
-            return "err usage: replay <trace.rtrace> [policy]";
-        const std::string policy = toks.size() > 2 ? toks[2] : "rubik";
-        if (!isKnownPolicy(policy))
-            return "err unknown policy: " + policy;
-        try {
-            return replayJson(dvfs, cfg, toks[1], policy);
-        } catch (const std::exception &e) {
-            return std::string("err replay: ") + e.what();
+        out += "ok";
+    } else if (cmd == "a") {
+        double time = 0.0, elapsed = 0.0, hint = -1.0;
+        if (t.count < 2 || t.count > 4 || !parseDouble(t.tok[1], &time) ||
+            (t.count > 2 && !parseDouble(t.tok[2], &elapsed)) ||
+            (t.count > 3 && !parseDouble(t.tok[3], &hint)))
+            out += "err usage: a <t> [elapsed_cycles] [class_hint]";
+        else
+            appendDecision(out, engine.onArrival(time, elapsed,
+                                                 static_cast<int>(hint)));
+    } else if (cmd == "c") {
+        double time = 0.0, cycles = 0.0, mem = 0.0;
+        if (t.count != 4 || !parseDouble(t.tok[1], &time) ||
+            !parseDouble(t.tok[2], &cycles) || !parseDouble(t.tok[3], &mem))
+            out += "err usage: c <t> <compute_cycles> <memory_time>";
+        else
+            appendDecision(out, engine.onCompletion(time, cycles, mem));
+    } else if (cmd == "replay") {
+        const std::string policy =
+            t.count > 2 ? std::string(t.tok[2]) : "rubik";
+        if (t.count < 2 || t.count > 3) {
+            out += "err usage: replay <trace.rtrace> [policy]";
+        } else if (!isKnownPolicy(policy)) {
+            out += "err unknown policy: ";
+            out += policy;
+        } else {
+            try {
+                out += replayJson(dvfs, cfg, std::string(t.tok[1]), policy);
+            } catch (const std::exception &e) {
+                out += "err replay: ";
+                out += e.what();
+            }
         }
+    } else {
+        out += "err unknown command: ";
+        out += cmd;
     }
-    return "err unknown command: " + cmd;
 }
 
 /// Longest request line (bytes, newline excluded) the daemon buffers.
@@ -187,42 +220,129 @@ handleLine(ServeEngine &engine, const DvfsModel &dvfs,
 /// answered "err line too long" and dropped, so no client can grow the
 /// daemon's memory without bound.
 constexpr std::size_t kMaxLineBytes = 64 * 1024;
+/// Cap on a client's queued, unwritten reply bytes. A client whose
+/// queue reaches it is not read, and its buffered lines are not
+/// handled, until the queue drains below it (backpressure): a client
+/// that never reads its replies stalls only itself.
+constexpr std::size_t kMaxQueuedBytes = 256 * 1024;
+/// Smallest read() a client's input buffer always has room for.
+constexpr std::size_t kReadBytes = 64 * 1024;
+/// A client's input buffer: one partial line plus one read.
+constexpr std::size_t kInputBytes = kMaxLineBytes + kReadBytes;
 
+/**
+ * One connection. Input is buffered in a fixed kInputBytes array:
+ * [inBegin, inEnd) is read but not yet answered, and [inBegin, scan)
+ * is known to hold no '\n', so each byte is scanned once. Replies are
+ * appended to `out`; [outOff, out.size()) is not yet written.
+ */
 struct Client
 {
+    explicit Client(int socketFd) : fd(socketFd), in(new char[kInputBytes])
+    {
+    }
+
     int fd = -1;
-    std::string inbuf; ///< Unterminated tail of the input (no '\n').
+    std::unique_ptr<char[]> in;
+    std::size_t inBegin = 0, scan = 0, inEnd = 0;
+    std::string out;
+    std::size_t outOff = 0;
+    /// No more input is read; the client is closed once `out` is
+    /// written (end of input, or a line over kMaxLineBytes).
+    bool closing = false;
+
+    std::size_t queued() const { return out.size() - outOff; }
+    /// Buffered input not yet scanned, and room to answer it.
+    bool hasWork() const
+    {
+        return !closing && scan < inEnd && queued() < kMaxQueuedBytes;
+    }
+    /// Every buffered line is answered and the queue has room.
+    bool wantsInput() const
+    {
+        return !closing && scan == inEnd && queued() < kMaxQueuedBytes;
+    }
 };
 
 /**
- * Feed the bytes [data, end) of one read to a client: answer every
- * line they complete and keep the unterminated tail. Only the new bytes
- * are scanned, so ingest is linear in the bytes read. Returns false
- * when the client must be dropped: a failed write, or a line over
- * kMaxLineBytes.
+ * Answer the client's buffered complete lines, in order, until its
+ * reply queue reaches kMaxQueuedBytes; the rest wait for the queue to
+ * drain. A line over kMaxLineBytes queues "err line too long" and
+ * closes the client.
  */
 template <typename Handle>
-bool
-feedClient(Client &c, const char *data, const char *end,
-           const Handle &handle)
+void
+answerLines(Client &c, const Handle &handle)
 {
-    for (;;) {
-        const char *nl = std::find(data, end, '\n');
-        c.inbuf.append(data, nl);
-        if (c.inbuf.size() > kMaxLineBytes) {
-            writeAll(c.fd, "err line too long\n");
-            return false;
-        }
-        if (nl == end)
-            return true;
-        data = nl + 1;
-        std::string line;
-        line.swap(c.inbuf);
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (!writeAll(c.fd, handle(line) + "\n"))
-            return false;
+    if (c.outOff > 0 && c.hasWork()) {
+        c.out.erase(0, c.outOff);
+        c.outOff = 0;
     }
+    char *const base = c.in.get();
+    while (c.hasWork()) {
+        char *nl = static_cast<char *>(
+            std::memchr(base + c.scan, '\n', c.inEnd - c.scan));
+        char *const line = base + c.inBegin;
+        const char *const stop = nl ? nl : base + c.inEnd;
+        if (static_cast<std::size_t>(stop - line) > kMaxLineBytes) {
+            c.out += "err line too long\n";
+            c.closing = true;
+            return;
+        }
+        if (!nl) {
+            c.scan = c.inEnd;
+            return;
+        }
+        char *end = nl;
+        if (end > line && end[-1] == '\r')
+            --end;
+        handle(line, end, c.out);
+        c.out += '\n';
+        c.inBegin = c.scan = static_cast<std::size_t>(nl + 1 - base);
+    }
+}
+
+/// One read() into the client's buffer. Returns false when the client
+/// must be dropped at once (a read error).
+bool
+readInput(Client &c)
+{
+    char *const base = c.in.get();
+    if (c.inBegin == c.inEnd) {
+        c.inBegin = c.scan = c.inEnd = 0;
+    } else if (kInputBytes - c.inEnd < kReadBytes) {
+        // Only the partial line (at most kMaxLineBytes) is left; move
+        // it to the front. It was read after the previous move, so the
+        // moves cost no more than the reads.
+        std::memmove(base, base + c.inBegin, c.inEnd - c.inBegin);
+        c.scan -= c.inBegin;
+        c.inEnd -= c.inBegin;
+        c.inBegin = 0;
+    }
+    const ssize_t n = ::read(c.fd, base + c.inEnd, kInputBytes - c.inEnd);
+    if (n > 0)
+        c.inEnd += static_cast<std::size_t>(n);
+    else if (n == 0)
+        c.closing = true; // end of input: write what is queued, close
+    else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)
+        return false;
+    return true;
+}
+
+/// One write() of the queued replies. Returns false when the client
+/// must be dropped (a write error: the peer is gone).
+bool
+writeQueued(Client &c)
+{
+    const ssize_t n = ::write(c.fd, c.out.data() + c.outOff, c.queued());
+    if (n < 0)
+        return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+    c.outOff += static_cast<std::size_t>(n);
+    if (c.outOff == c.out.size()) {
+        c.out.clear();
+        c.outOff = 0;
+    }
+    return true;
 }
 
 } // anonymous namespace
@@ -236,6 +356,11 @@ runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config)
                      config.socketPath.c_str());
         return 1;
     }
+
+    // Before the socket exists: a configuration the engine refuses
+    // (a bad model file, an oversized distilled shape) fails startup
+    // without leaving a socket file behind.
+    ServeEngine engine(dvfs, config.serve);
 
     // Stale-socket handling: probe with connect(). A live daemon
     // accepts (refuse startup); a dead one's leftover file refuses
@@ -257,7 +382,7 @@ runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config)
         }
     }
 
-    const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (listener < 0 ||
         ::bind(listener, reinterpret_cast<sockaddr *>(&addr),
                sizeof(addr)) != 0 ||
@@ -277,23 +402,35 @@ runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config)
     ::sigaction(SIGINT, &sa, nullptr);
     ::signal(SIGPIPE, SIG_IGN);
 
-    ServeEngine engine(dvfs, config.serve);
     std::vector<Client> clients;
+    std::vector<pollfd> fds;
     bool shutdownRequested = false;
-    const auto handle = [&](const std::string &line) {
-        return handleLine(engine, dvfs, config, line, &shutdownRequested);
+    const auto handle = [&](char *line, char *end, std::string &out) {
+        handleLine(engine, dvfs, config, line, end, out,
+                   &shutdownRequested);
     };
 
     std::fprintf(stderr, "serve: listening on %s\n",
                  config.socketPath.c_str());
 
+    // One poll round: every client with buffered lines and queue room
+    // has them answered, one read when it has no buffered line left,
+    // then one write of everything it has queued; the rest of a
+    // partial write goes out on a later POLLOUT.
     while (!g_stop && !shutdownRequested) {
-        std::vector<pollfd> fds;
+        fds.clear();
         fds.push_back({listener, POLLIN, 0});
-        for (const Client &c : clients)
-            fds.push_back({c.fd, POLLIN, 0});
+        bool work = false;
+        for (const Client &c : clients) {
+            work = work || c.hasWork();
+            fds.push_back({c.fd,
+                           static_cast<short>(
+                               (c.wantsInput() ? POLLIN : 0) |
+                               (c.queued() > 0 ? POLLOUT : 0)),
+                           0});
+        }
         const int ready =
-            ::poll(fds.data(), fds.size(), /*timeout_ms=*/500);
+            ::poll(fds.data(), fds.size(), work ? 0 : /*ms=*/500);
         if (ready < 0) {
             if (errno == EINTR)
                 continue; // signal: loop re-checks g_stop
@@ -301,44 +438,44 @@ runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config)
                          std::strerror(errno));
             break;
         }
-        if (ready == 0)
-            continue;
 
-        for (std::size_t i = 0; i < clients.size();) {
+        for (std::size_t i = 0; i < clients.size(); ++i) {
             Client &c = clients[i];
-            const short revents = fds[i + 1].revents;
-            bool drop = false;
-            if (revents & (POLLIN | POLLHUP | POLLERR)) {
-                char buf[4096];
-                const ssize_t n = ::read(c.fd, buf, sizeof buf);
-                if (n <= 0 && !(n < 0 && errno == EINTR)) {
-                    drop = true;
-                } else if (n > 0) {
-                    drop = !feedClient(c, buf, buf + n, handle);
-                }
+            answerLines(c, handle);
+            bool ok = true;
+            if (c.wantsInput() &&
+                (fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR))) {
+                ok = readInput(c);
+                answerLines(c, handle);
             }
-            if (drop) {
+            if (ok && c.queued() > 0)
+                ok = writeQueued(c);
+            if (!ok || (c.closing && c.queued() == 0)) {
                 ::close(c.fd);
-                clients.erase(clients.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-                // fds snapshot is stale after erase; finish remaining
-                // clients on the next poll round.
-                break;
+                c.fd = -1;
             }
-            ++i;
         }
+        clients.erase(std::remove_if(clients.begin(), clients.end(),
+                                     [](const Client &c) {
+                                         return c.fd < 0;
+                                     }),
+                      clients.end());
 
         // Accept only after servicing: a client pushed into `clients`
         // mid-round would have no pollfd, desyncing fds[i + 1] above.
         if (fds[0].revents & POLLIN) {
-            const int fd = ::accept(listener, nullptr, nullptr);
+            const int fd = ::accept4(listener, nullptr, nullptr,
+                                     SOCK_NONBLOCK);
             if (fd >= 0)
-                clients.push_back(Client{fd, {}});
+                clients.emplace_back(fd);
         }
     }
 
-    for (const Client &c : clients)
+    for (Client &c : clients) {
+        if (c.queued() > 0)
+            writeQueued(c); // best effort: never block on exit
         ::close(c.fd);
+    }
     ::close(listener);
     ::unlink(config.socketPath.c_str());
     std::fprintf(stderr, "serve: shut down cleanly\n");

@@ -20,10 +20,15 @@
  *   ping                                 ->  ok
  *   shutdown                             ->  ok (then exits cleanly)
  *
- * Errors reply "err <message>". SIGTERM/SIGINT stop the poll loop,
- * close every client, and unlink the socket file. A stale socket left
- * by a killed daemon is detected with a connect() probe and replaced;
- * a live one refuses startup.
+ * Errors reply "err <message>". Clients may pipeline: replies come
+ * back in request order. Client sockets are non-blocking; each client's
+ * replies are queued and written with one write() per poll round, and
+ * a client whose queue is full is not read until it drains, so a client
+ * that never reads stalls only itself (docs/serving.md, "Transport").
+ *
+ * SIGTERM/SIGINT stop the poll loop, close every client, and unlink
+ * the socket file. A stale socket left by a killed daemon is detected
+ * with a connect() probe and replaced; a live one refuses startup.
  */
 
 #include <string>
@@ -42,7 +47,8 @@ struct DaemonConfig
 /**
  * Run the daemon until SIGTERM/SIGINT or a `shutdown` command.
  * Returns 0 on clean shutdown, 1 on setup failure (message on
- * stderr). Blocks; single-threaded.
+ * stderr). Blocks; single-threaded. Throws what the ServeEngine
+ * constructor throws, before the socket is created.
  */
 int runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config);
 

@@ -39,6 +39,10 @@ ServeEngine::ServeEngine(const DvfsModel &dvfs, const ServeConfig &config)
     exact_ = std::make_unique<RubikController>(dvfs_, rc);
 
     if (cfg_.distill || !cfg_.modelPath.empty()) {
+        // The auto-trained models take the table's shape: refuse one
+        // too large now, not at the first retrain.
+        if (cfg_.distill)
+            DistilledModel::checkShape(cfg_.table.rows, cfg_.distillConfig);
         DistilledModel model; // untrained: every decision falls back
         if (!cfg_.modelPath.empty())
             model = DistilledModel::load(cfg_.modelPath);

@@ -84,6 +84,8 @@ struct ServeDecision
 class ServeEngine
 {
   public:
+    /// Throws std::runtime_error for an unloadable `modelPath` or a
+    /// distilled shape over DistilledModel::kMaxLutBytes.
     ServeEngine(const DvfsModel &dvfs, const ServeConfig &config);
     ~ServeEngine();
 

@@ -9,6 +9,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,7 +21,9 @@
 #include "core/rubik_controller.h"
 #include "policies/distilled.h"
 #include "power/power_model.h"
+#include "serve/serve_engine.h"
 #include "sim/core_engine.h"
+#include "sim/trace.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -272,6 +278,100 @@ TEST_F(DistillFidelity, RejectsCorruptTruncatedAndMistagged)
     // Missing file.
     EXPECT_THROW(DistilledModel::load("/nonexistent/path/model.rdtm"),
                  std::runtime_error);
+}
+
+/// A minimal RDTM file: one leaf, one row, so no thresholds at all,
+/// with a valid checksum over the given shape.
+std::string
+tinyModelBytes(uint64_t positions, uint64_t buckets, double target)
+{
+    std::string payload;
+    auto put = [&payload](const auto &v) {
+        char buf[sizeof(v)];
+        std::memcpy(buf, &v, sizeof(v));
+        payload.append(buf, sizeof(v));
+    };
+    put(positions);
+    put(buckets);
+    put(uint64_t{0}); // fallback band
+    put(uint64_t{0}); // configured leaves
+    put(uint64_t{1}); // stored leaves
+    put(uint64_t{1}); // rows
+    put(target);
+    put(3.4e9);       // the one leaf frequency
+    put(0.0);         // the one row bound
+    std::string out = "RDTM";
+    const uint32_t version = 1;
+    const uint64_t checksum = fnv1a64(payload.data(), payload.size());
+    out.append(reinterpret_cast<const char *>(&version), sizeof(version));
+    out.append(reinterpret_cast<const char *>(&checksum),
+               sizeof(checksum));
+    return out + payload;
+}
+
+/// The what() of the exception `fn` throws ("" when it throws none).
+std::string
+thrownMessage(const std::function<void()> &fn)
+{
+    try {
+        fn();
+    } catch (const std::exception &e) {
+        return e.what();
+    }
+    return "";
+}
+
+// An 88-byte file must not make the loader allocate a LUT of any size
+// it names: 4096 positions x 65536 buckets is 256 MiB, 2^20 x 2^24
+// overflows into std::bad_alloc.
+TEST(DistilledModelShape, LoaderRejectsOversizedLut)
+{
+    const std::string big = tinyModelBytes(4096, 65536, 1e-3);
+    ASSERT_EQ(big.size(), 88u);
+    EXPECT_EQ(thrownMessage([&] { DistilledModel::deserialize(big); }),
+              "distilled model: LUT too large");
+    const std::string huge =
+        tinyModelBytes(uint64_t(1) << 20, uint64_t(1) << 24, 1e-3);
+    EXPECT_EQ(thrownMessage([&] { DistilledModel::deserialize(huge); }),
+              "distilled model: LUT too large");
+    // The same shape within the cap loads.
+    EXPECT_TRUE(
+        DistilledModel::deserialize(tinyModelBytes(64, 4096, 1e-3))
+            .trained());
+}
+
+TEST(DistilledModelShape, LoaderRejectsNonFiniteTarget)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double target :
+         {inf, std::numeric_limits<double>::quiet_NaN(), -1e-3, 0.0}) {
+        EXPECT_EQ(thrownMessage([&] {
+                      DistilledModel::deserialize(
+                          tinyModelBytes(64, 4096, target));
+                  }),
+                  "distilled model: shape corrupt")
+            << target;
+    }
+}
+
+TEST_F(DistillFidelity, OversizedShapeFailsBeforeTraining)
+{
+    DistilledConfig cfg;
+    cfg.maxPositions = 1024;
+    cfg.ageBuckets = std::size_t(1) << 24;
+    EXPECT_EQ(thrownMessage([&] { train(cfg); }),
+              "distilled model: LUT too large");
+
+    // The daemon's engine refuses the shape when it is built, not at
+    // its first retrain.
+    ServeConfig sc;
+    sc.latencyBound = 1.0 * kMs;
+    sc.distill = true;
+    sc.distillConfig = cfg;
+    EXPECT_EQ(thrownMessage([&] { ServeEngine engine(dvfs, sc); }),
+              "distilled model: LUT too large");
+    sc.distillConfig = DistilledConfig{};
+    EXPECT_EQ(thrownMessage([&] { ServeEngine engine(dvfs, sc); }), "");
 }
 
 TEST_F(DistillFidelity, UntrainedModelAlwaysFallsBack)

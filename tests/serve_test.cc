@@ -7,14 +7,19 @@
  * LatencyHistogram, and — when RUBIK_CLI points at the built binary —
  * the daemon lifecycle end to end: start, ping, replay producing a
  * decision hash byte-identical to the one-shot CLI's, well-formed
- * --stats, a SIGTERM shutdown that exits 0 and removes the socket, and
- * a client streaming an over-long line being dropped without stalling
- * the others.
+ * --stats, a SIGTERM shutdown that exits 0 and removes the socket, a
+ * client streaming an over-long line being dropped without stalling
+ * the others, pipelined and chunked streams answered exactly like an
+ * in-process engine, a client that never reads its replies stalling
+ * only itself, and strict parsing of the daemon's numeric flags.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -25,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -621,6 +627,209 @@ TEST_F(ServeDaemonCli, OverlongLineClientIsDroppedOthersStillServed)
     EXPECT_EQ(serveQuery(socketPath, "ping", 2.0), "ok");
 }
 
+/// Read from `fd` until `want` newline-terminated lines have arrived,
+/// the peer closes, or `seconds` pass; returns the lines read.
+std::vector<std::string>
+readLines(int fd, std::size_t want, double seconds)
+{
+    std::vector<std::string> lines;
+    std::string pending;
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(seconds);
+    char buf[65536];
+    while (lines.size() < want &&
+           std::chrono::steady_clock::now() < deadline) {
+        pollfd p{fd, POLLIN, 0};
+        if (::poll(&p, 1, 100) <= 0)
+            continue;
+        const ssize_t n = ::read(fd, buf, sizeof buf);
+        if (n <= 0)
+            break;
+        pending.append(buf, static_cast<std::size_t>(n));
+        std::size_t start = 0, nl;
+        while ((nl = pending.find('\n', start)) != std::string::npos) {
+            lines.emplace_back(pending, start, nl - start);
+            start = nl + 1;
+        }
+        pending.erase(0, start);
+    }
+    return lines;
+}
+
+/// Send all of `data`; false once the peer is gone.
+bool
+sendAll(int fd, const char *data, std::size_t size)
+{
+    while (size > 0) {
+        const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+        if (n <= 0)
+            return false;
+        data += n;
+        size -= static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+std::string
+fmt17(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+// Replies to a pipelined stream — first sent in one write, then split
+// mid-line into odd-sized chunks — come back in order and equal to an
+// in-process ServeEngine's decisions on the same events, with the same
+// decision count and chained hash.
+TEST_F(ServeDaemonCli, PipelinedAndChunkedStreamsMatchTheEngine)
+{
+    startDaemon("");
+    // The engine the daemon builds from `--bound-ms 2` and its
+    // defaults.
+    ServeConfig sc;
+    sc.latencyBound = 2.0 * kMs;
+    sc.updatePeriod = 100.0 * kMs;
+    ServeEngine engine(DvfsModel::haswell(4.0 * kUs), sc);
+
+    const std::vector<Event> events = makeStream(1500, 21);
+    std::string whole, chunked;
+    std::vector<std::string> want;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const Event &e = events[i];
+        const std::string line =
+            e.arrival ? "a " + fmt17(e.t) + "\n"
+                      : "c " + fmt17(e.t) + " " + fmt17(e.cycles) + " " +
+                            fmt17(e.mem) + "\n";
+        (i < events.size() / 2 ? whole : chunked) += line;
+        const ServeDecision d =
+            e.arrival ? engine.onArrival(e.t)
+                      : engine.onCompletion(e.t, e.cycles, e.mem);
+        char buf[64];
+        if (d.ok)
+            std::snprintf(buf, sizeof buf, "f %.9g", d.frequency);
+        else
+            std::snprintf(buf, sizeof buf, "err %s", d.error);
+        want.push_back(buf);
+    }
+
+    const int fd = connectWithTimeouts(socketPath);
+    ASSERT_GE(fd, 0);
+    std::thread sender([&] {
+        if (!sendAll(fd, whole.data(), whole.size()))
+            return;
+        static const std::size_t kChunks[] = {1, 7, 13, 61, 127, 509, 3};
+        std::size_t off = 0;
+        for (std::size_t k = 0; off < chunked.size(); ++k) {
+            const std::size_t len =
+                std::min(kChunks[k % 7], chunked.size() - off);
+            if (!sendAll(fd, chunked.data() + off, len))
+                return;
+            off += len;
+            if (k % 16 == 0)
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    });
+    const std::vector<std::string> got = readLines(fd, want.size(), 60.0);
+    sender.join();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "reply " << i;
+
+    ASSERT_TRUE(sendAll(fd, "stats\n", 6));
+    const std::vector<std::string> stats = readLines(fd, 1, 10.0);
+    ::close(fd);
+    ASSERT_EQ(stats.size(), 1u);
+    char hash[24];
+    std::snprintf(hash, sizeof hash, "%016" PRIx64,
+                  engine.decisionLog().hash);
+    EXPECT_EQ(jsonStringField(stats[0], "decision_hash"), hash)
+        << stats[0];
+    EXPECT_NE(stats[0].find("\"decisions\":" +
+                            std::to_string(engine.decisionLog().count) +
+                            ","),
+              std::string::npos)
+        << stats[0];
+}
+
+// A client that pipelines megabytes of requests and never reads its
+// replies must not delay anyone else: the daemon stops reading it once
+// its reply queue is full, and answers the rest when it reads.
+TEST_F(ServeDaemonCli, ClientThatNeverReadsStallsOnlyItself)
+{
+    startDaemon("");
+    // 2 MiB of pings, with a distinct bad command every 4096 lines so
+    // that the order of the replies is checked too.
+    std::string input, want;
+    for (std::size_t i = 0; input.size() < (std::size_t(2) << 20); ++i) {
+        if (i % 4096 == 4095) {
+            const std::string cmd = "x" + std::to_string(i);
+            input += cmd + "\n";
+            want += "err unknown command: " + cmd + "\n";
+        } else {
+            input += "ping\n";
+            want += "ok\n";
+        }
+    }
+    const int hog = connectWithTimeouts(socketPath);
+    ASSERT_GE(hog, 0);
+    // Sends block for as long as the daemon holds the hog back; the
+    // replies may take a while under a sanitizer.
+    timeval none{0, 0}, patient{30, 0};
+    ::setsockopt(hog, SOL_SOCKET, SO_SNDTIMEO, &none, sizeof(none));
+    ::setsockopt(hog, SOL_SOCKET, SO_RCVTIMEO, &patient, sizeof(patient));
+    std::atomic<std::size_t> sent{0};
+    std::thread sender([&] {
+        std::size_t off = 0;
+        while (off < input.size()) {
+            const ssize_t n = ::send(hog, input.data() + off,
+                                     input.size() - off, MSG_NOSIGNAL);
+            if (n <= 0)
+                break;
+            off += static_cast<std::size_t>(n);
+            sent = off;
+        }
+        ::shutdown(hog, SHUT_WR);
+    });
+    // Wait until the hog's stream stalls: the daemon stopped reading.
+    std::size_t last = 0;
+    for (int i = 0; i < 100 && sent < input.size(); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        if (sent == last)
+            break;
+        last = sent;
+    }
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::string reply;
+    try {
+        reply = serveQuery(socketPath, "ping", 2.0);
+    } catch (const std::exception &e) {
+        reply = e.what();
+    }
+    const std::chrono::duration<double> waited =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(reply, "ok");
+    EXPECT_LT(waited.count(), 2.0);
+
+    // Now the hog reads: every reply arrives, in order.
+    std::string got;
+    char buf[65536];
+    while (got.size() < want.size()) {
+        const ssize_t n = ::read(hog, buf, sizeof buf);
+        if (n <= 0)
+            break;
+        got.append(buf, static_cast<std::size_t>(n));
+    }
+    ::shutdown(hog, SHUT_RDWR); // a sender still blocked fails now
+    sender.join();
+    ::close(hog);
+    ASSERT_EQ(got.size(), want.size());
+    const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+    EXPECT_TRUE(diff.first == got.end())
+        << "replies differ at byte " << (diff.first - got.begin());
+}
+
 TEST_F(ServeDaemonCli, RefusesSecondDaemonOnLiveSocket)
 {
     startDaemon("");
@@ -636,6 +845,62 @@ TEST_F(ServeDaemonCli, RefusesSecondDaemonOnLiveSocket)
     int status = 0;
     ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
     daemonPid = -1;
+}
+
+// The daemon's numeric flags parse strictly: a malformed or
+// out-of-range value is a named error (exit 1), never a wrapped or
+// silently defaulted number. --stats keeps every case from starting a
+// daemon, so a flag that parsed would fail the message check instead.
+TEST(ServeFlags, RejectMalformedValues)
+{
+    const char *cli = std::getenv("RUBIK_CLI");
+    if (!cli || !*cli || !std::filesystem::exists(cli))
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    ScratchDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"--age-buckets", "-1"},   {"--age-buckets", "1"},
+        {"--leaves", "abc"},       {"--leaves", "129"},
+        {"--max-positions", "0"},  {"--fallback-band", "2x"},
+        {"--max-queue", "-5"},     {"--max-queue", "0"},
+        {"--bound-ms", "nope"},    {"--bound-ms", "-2"},
+        {"--update-ms", "inf"},    {"--percentile", "1"},
+        {"--percentile", "0"},     {"--percentile", "nan"},
+        {"--transition-us", "-4"}, {"--transition-us", "4us"},
+    };
+    for (const auto &[flag, value] : cases) {
+        const CommandResult r = runCommand(
+            std::string(cli) + " serve --socket " + dir.path +
+                "/none.sock --stats " + flag + " '" + value + "'",
+            dir.path, "flag");
+        EXPECT_TRUE(WIFEXITED(r.status) && WEXITSTATUS(r.status) == 1)
+            << flag << " " << value << ": "
+            << describeWaitStatus(r.status);
+        EXPECT_NE(r.err.find(flag + ": invalid value '" + value + "'"),
+                  std::string::npos)
+            << r.err;
+    }
+
+    // A shape whose distilled LUT would be too large fails at startup,
+    // before the socket exists.
+    const std::string sock = dir.path + "/big.sock";
+    const pid_t pid = spawnShellCommand(
+        "exec " + std::string(cli) + " serve --socket " + sock +
+            " --bound-ms 2 --distill --age-buckets 16777216"
+            " --max-positions 1048576",
+        dir.path + "/big.stdout", dir.path + "/big.stderr");
+    ASSERT_GT(pid, 0);
+    int status = 0;
+    if (!waitCommandFor(pid, 10.0, &status)) {
+        killCommandGroup(pid);
+        FAIL() << "daemon started with an oversized distilled shape";
+    }
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1)
+        << describeWaitStatus(status);
+    EXPECT_NE(readFile(dir.path + "/big.stderr")
+                  .find("serve: distilled model: LUT too large"),
+              std::string::npos);
+    EXPECT_FALSE(std::filesystem::exists(sock));
 }
 
 } // namespace

@@ -53,6 +53,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -1099,39 +1100,29 @@ serveMain(int argc, char **argv)
     parser.value("--socket", [&](const char *v) { socket_path = v; });
     parser.flag("--stats", [&] { stats = true; });
     parser.flag("--shutdown", [&] { shutdown = true; });
-    parser.value("--bound-ms",
-                 [&](const char *v) { bound_ms = std::atof(v); });
-    parser.value("--percentile", [&](const char *v) {
-        sc.percentile = std::atof(v);
-    });
-    parser.value("--update-ms",
-                 [&](const char *v) { update_ms = std::atof(v); });
+    // Numeric knobs parse strictly (OptionsParser::number): a value
+    // that is not a whole in-range number exits 1 naming it.
+    constexpr double kHuge = std::numeric_limits<double>::max();
+    constexpr std::size_t kMaxShape = std::size_t(1) << 24;
+    parser.number("--bound-ms", &bound_ms, 0.0, kHuge);
+    parser.number("--percentile", &sc.percentile,
+                  std::numeric_limits<double>::min(),
+                  std::nextafter(1.0, 0.0));
+    parser.number("--update-ms", &update_ms, 0.0, kHuge);
     parser.flag("--feedback", [&] { sc.feedback = true; });
     parser.flag("--distill", [&] { sc.distill = true; });
     parser.value("--model", [&](const char *v) { sc.modelPath = v; });
-    parser.value("--leaves", [&](const char *v) {
-        sc.distillConfig.leaves =
-            static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--age-buckets", [&](const char *v) {
-        sc.distillConfig.ageBuckets =
-            static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--max-positions", [&](const char *v) {
-        sc.distillConfig.maxPositions =
-            static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--fallback-band", [&](const char *v) {
-        sc.distillConfig.fallbackBand =
-            static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--max-queue", [&](const char *v) {
-        sc.maxQueue = static_cast<std::size_t>(std::atoll(v));
-    });
+    parser.number("--leaves", &sc.distillConfig.leaves, std::size_t(0),
+                  std::size_t(128));
+    parser.number("--age-buckets", &sc.distillConfig.ageBuckets,
+                  std::size_t(2), kMaxShape);
+    parser.number("--max-positions", &sc.distillConfig.maxPositions,
+                  std::size_t(1), std::size_t(1) << 20);
+    parser.number("--fallback-band", &sc.distillConfig.fallbackBand,
+                  std::size_t(0), kMaxShape);
+    parser.number("--max-queue", &sc.maxQueue, std::size_t(1), kMaxShape);
     parser.flag("--no-timing", [&] { sc.timeDecisions = false; });
-    parser.value("--transition-us", [&](const char *v) {
-        transition_us = std::atof(v);
-    });
+    parser.number("--transition-us", &transition_us, 0.0, kHuge);
     addSimdFlag(parser, &run);
     parser.onUnknown([](const char *token) {
         std::fprintf(stderr, "serve: unknown flag %s\n", token);
