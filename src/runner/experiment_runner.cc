@@ -1,7 +1,10 @@
 #include "runner/experiment_runner.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <exception>
+
+#include "util/parse_number.h"
 
 namespace rubik {
 
@@ -9,12 +12,12 @@ int
 ExperimentRunner::defaultWorkerCount()
 {
     if (const char *env = std::getenv("RUBIK_JOBS")) {
-        const int n = std::atoi(env);
-        if (n > 0)
-            return n;
+        if (const auto n = parseNumber<int>(env, 1, kMaxWorkers))
+            return *n;
     }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+    return hw > 0 ? static_cast<int>(std::min<unsigned>(hw, kMaxWorkers))
+                  : 1;
 }
 
 ExperimentRunner::ExperimentRunner(int num_workers)

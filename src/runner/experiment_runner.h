@@ -47,6 +47,11 @@ class ExperimentRunner
      * thread (useful for A/B determinism checks).
      */
     explicit ExperimentRunner(int num_workers = 0);
+
+    /// Most worker threads a --jobs flag or RUBIK_JOBS may ask for: a
+    /// pool starts one thread per worker, so the count is bounded
+    /// rather than left to whatever number the user typed.
+    static constexpr int kMaxWorkers = 1024;
     ~ExperimentRunner();
 
     ExperimentRunner(const ExperimentRunner &) = delete;
@@ -96,8 +101,9 @@ class ExperimentRunner
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
 
-    /// Resolved default worker count: RUBIK_JOBS env var if positive,
-    /// else std::thread::hardware_concurrency(), else 1.
+    /// Resolved default worker count: RUBIK_JOBS if it is a whole
+    /// number in [1, kMaxWorkers], else std::thread::hardware_concurrency()
+    /// capped at kMaxWorkers, else 1.
     static int defaultWorkerCount();
 
   private:

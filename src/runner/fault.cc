@@ -1,6 +1,5 @@
 #include "runner/fault.h"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
@@ -8,6 +7,8 @@
 #include <utility>
 
 #include <unistd.h>
+
+#include "util/parse_number.h"
 
 namespace rubik {
 
@@ -86,18 +87,6 @@ splitOn(const std::string &text, char sep)
     return parts;
 }
 
-uint64_t
-parseU64(const std::string &s, const std::string &clause)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (s.empty() || s[0] == '-' || errno != 0 ||
-        end != s.c_str() + s.size())
-        badSpec(clause, "'" + s + "' is not a non-negative integer");
-    return static_cast<uint64_t>(v);
-}
-
 void
 sleepMs(double ms)
 {
@@ -131,6 +120,15 @@ parseFaultSpec(const std::string &text)
         FaultSpec fault;
         if (!kindFromName(parts[0], &fault.kind))
             badSpec(clause, "unknown fault kind '" + parts[0] + "'");
+        // Every value is a whole non-negative integer
+        // (util/parse_number.h).
+        const auto number = [&clause](const std::string &s, auto lo) {
+            const auto v = parseNumber<decltype(lo)>(s, lo);
+            if (!v)
+                badSpec(clause,
+                        "'" + s + "' is not a non-negative integer");
+            return *v;
+        };
         for (std::size_t i = 1; i < parts.size(); ++i) {
             const std::string &part = parts[i];
             const std::size_t eq = part.find('=');
@@ -142,13 +140,12 @@ parseFaultSpec(const std::string &text)
             if (key == "cell") {
                 if (!value.empty() && value[0] == '~') {
                     fault.seeded = true;
-                    fault.seed = parseU64(value.substr(1), clause);
+                    fault.seed = number(value.substr(1), uint64_t(0));
                 } else {
-                    fault.cell = static_cast<long long>(
-                        parseU64(value, clause));
+                    fault.cell = number(value, 0LL);
                 }
             } else if (key == "ms") {
-                fault.ms = static_cast<double>(parseU64(value, clause));
+                fault.ms = static_cast<double>(number(value, uint64_t(0)));
             } else {
                 badSpec(clause, "unknown key '" + key + "'");
             }

@@ -1,15 +1,19 @@
 #include "runner/ledger.h"
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "runner/fault.h"
 #include "sim/trace.h"
+#include "util/parse_number.h"
 
 namespace rubik {
 
@@ -58,20 +62,17 @@ parseRecord(const std::string &line, std::size_t num_cells,
     const std::size_t sp2 = line.find(' ', sp1 + 1);
     if (sp2 == std::string::npos || sp2 - sp1 - 1 != 16)
         return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long idx =
-        std::strtoull(line.c_str(), &end, 10);
-    if (errno != 0 || end != line.c_str() + sp1 || idx >= num_cells)
-        return false;
-    const unsigned long long sum =
-        std::strtoull(line.c_str() + sp1 + 1, &end, 16);
-    if (errno != 0 || end != line.c_str() + sp2)
+    const std::string_view text(line);
+    const std::optional<std::size_t> idx =
+        parseNumber<std::size_t>(text.substr(0, sp1));
+    const std::optional<uint64_t> sum = parseNumber<uint64_t>(
+        text.substr(sp1 + 1, 16), 0, UINT64_MAX, 16);
+    if (!idx || *idx >= num_cells || !sum)
         return false;
     const std::string payload = line.substr(sp2 + 1);
-    if (recordHash(idx, payload) != sum)
+    if (recordHash(*idx, payload) != *sum)
         return false;
-    *index = idx;
+    *index = *idx;
     *row = payload;
     return true;
 }
@@ -125,17 +126,26 @@ scanLedger(const std::string &path)
         scan.droppedBytes = text.size();
         return scan;
     }
-    unsigned long long spec_hash = 0;
-    unsigned long long cells = 0;
-    const std::string header = text.substr(0, nl);
-    if (std::sscanf(header.c_str() + sizeof(kHeaderPrefix) - 1,
-                    "spec=%llx cells=%llu", &spec_hash, &cells) != 2) {
+    // "spec=<hex> cells=<decimal>", as headerLine writes it.
+    constexpr std::size_t kPrefixLen = sizeof(kHeaderPrefix) - 1;
+    const std::string_view fields(text.data() + kPrefixLen,
+                                  nl - kPrefixLen);
+    const std::size_t sp = fields.find(' ');
+    std::optional<uint64_t> spec_hash;
+    std::optional<std::size_t> cells;
+    if (fields.substr(0, 5) == "spec=" && sp != std::string_view::npos &&
+        fields.compare(sp, 7, " cells=") == 0) {
+        spec_hash = parseNumber<uint64_t>(fields.substr(5, sp - 5), 0,
+                                          UINT64_MAX, 16);
+        cells = parseNumber<std::size_t>(fields.substr(sp + 7));
+    }
+    if (!spec_hash || !cells) {
         scan.droppedBytes = text.size();
         return scan;
     }
     scan.headerOk = true;
-    scan.specHash = spec_hash;
-    scan.numCells = static_cast<std::size_t>(cells);
+    scan.specHash = *spec_hash;
+    scan.numCells = *cells;
     scan.validBytes = nl + 1;
 
     // Records: keep the longest prefix of intact, in-range,

@@ -5,7 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "runner/sweep_spec.h"
+#include "runner/experiment_runner.h"
 
 namespace rubik {
 
@@ -111,14 +111,9 @@ OptionsParser::run()
 void
 addRunFlags(OptionsParser &parser, CommonRunOptions *opts)
 {
-    parser.value("--seed", [opts](const char *v) {
-        opts->seed = static_cast<uint64_t>(std::atoll(v));
-    });
-    parser.value("--requests", [opts](const char *v) {
-        opts->requests = std::atoi(v);
-    });
-    parser.value("--jobs",
-                 [opts](const char *v) { opts->jobs = std::atoi(v); });
+    parser.number("--seed", &opts->seed);
+    parser.number("--requests", &opts->requests, 0);
+    parser.number("--jobs", &opts->jobs, 0, ExperimentRunner::kMaxWorkers);
 }
 
 void
@@ -142,11 +137,14 @@ void
 addShardFlag(OptionsParser &parser, ShardOption *shard)
 {
     parser.value("--shard", [shard](const char *v) {
-        if (!parseShardArg(v, &shard->shard, &shard->numShards)) {
+        const auto in = parseNumberList<int>(v, '/', 0);
+        if (!in || in->size() != 2 || (*in)[0] >= (*in)[1]) {
             std::fprintf(stderr,
                          "--shard wants I/N with 0 <= I < N\n");
             std::exit(1);
         }
+        shard->shard = (*in)[0];
+        shard->numShards = (*in)[1];
         shard->given = true;
     });
 }

@@ -17,19 +17,25 @@
  *
  * Values are accepted both space-separated (`--simd avx2`) and
  * equals-joined (`--simd=avx2`).
+ *
+ * Every numeric flag parses through number()/numbers(), that is
+ * through util/parse_number.h: the whole token is one decimal number,
+ * finite, inside the flag's [lo, hi]. Leading whitespace, '+', hex and
+ * hex floats, "inf" and "nan" are rejected, as is any value the type
+ * cannot hold; strtod/atoi used to accept some of them or read them
+ * as 0.
  */
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
-#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "sim/sim_options.h"
+#include "util/parse_number.h"
 
 namespace rubik {
 
@@ -62,18 +68,31 @@ class OptionsParser
      * invalid value 'TOKEN'" to stderr and exits 1.
      */
     template <typename T>
-    void number(const std::string &name, T *out, T lo,
+    void number(const std::string &name, T *out,
+                T lo = std::numeric_limits<T>::lowest(),
                 T hi = std::numeric_limits<T>::max())
     {
         value(name, [name, out, lo, hi](const char *v) {
-            T parsed{};
-            const char *end = v + std::strlen(v);
-            const auto [ptr, ec] = std::from_chars(v, end, parsed);
-            if (ec != std::errc() || ptr != end ||
-                !std::isfinite(static_cast<double>(parsed)) ||
-                parsed < lo || parsed > hi)
+            const std::optional<T> parsed = parseNumber<T>(v, lo, hi);
+            if (!parsed)
                 invalidValue(name, v);
-            *out = parsed;
+            *out = *parsed;
+        });
+    }
+
+    /// A comma list of numbers, each held to number()'s rules; an
+    /// empty item (`0.5,`) fails the whole list the same way.
+    template <typename T>
+    void numbers(const std::string &name, std::vector<T> *out,
+                 T lo = std::numeric_limits<T>::lowest(),
+                 T hi = std::numeric_limits<T>::max())
+    {
+        value(name, [name, out, lo, hi](const char *v) {
+            std::optional<std::vector<T>> parsed =
+                parseNumberList<T>(v, ',', lo, hi);
+            if (!parsed)
+                invalidValue(name, v);
+            *out = std::move(*parsed);
         });
     }
 
@@ -126,7 +145,8 @@ struct CommonRunOptions
     bool simdGiven = false;
 };
 
-/// Register --seed S, --requests N, --jobs N.
+/// Register --seed S, --requests N (0: the entry point's default) and
+/// --jobs N (0: hardware default; at most ExperimentRunner::kMaxWorkers).
 void addRunFlags(OptionsParser &parser, CommonRunOptions *opts);
 
 /**

@@ -1,14 +1,14 @@
 #include "runner/sweep_spec.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parse_number.h"
 
 namespace rubik {
 
@@ -48,41 +48,16 @@ parseError(int line, const std::string &msg)
                              ": " + msg);
 }
 
-double
-parseDouble(const std::string &s, int line)
+/// A spec number: the whole value parses as a T (util/parse_number.h);
+/// ranges are validate()'s job.
+template <typename T>
+T
+parseValue(const std::string &s, int line, const char *what)
 {
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (errno != 0 || end != s.c_str() + s.size() || s.empty() ||
-        !std::isfinite(v))
-        parseError(line, "'" + s + "' is not a finite number");
-    return v;
-}
-
-int
-parseInt(const std::string &s, int line)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size() || s.empty() ||
-        v < INT_MIN || v > INT_MAX)
-        parseError(line, "'" + s + "' is not an integer");
-    return static_cast<int>(v);
-}
-
-uint64_t
-parseSeed(const std::string &s, int line)
-{
-    // strtoull silently wraps negative input; reject it up front.
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size() || s.empty() ||
-        s[0] == '-')
-        parseError(line, "'" + s + "' is not a seed");
-    return static_cast<uint64_t>(v);
+    const std::optional<T> v = parseNumber<T>(s);
+    if (!v)
+        parseError(line, "'" + s + "' is not " + what);
+    return *v;
 }
 
 bool
@@ -102,7 +77,7 @@ formatDouble(double v)
     char buf[64];
     for (int precision = 1; precision <= 17; ++precision) {
         std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        if (std::strtod(buf, nullptr) == v)
+        if (parseNumber<double>(buf) == v)
             break;
     }
     return buf;
@@ -229,21 +204,25 @@ SweepSpec::parse(const std::string &text)
         } else if (key == "loads") {
             spec.loads.clear();
             for (const auto &item : splitList(value))
-                spec.loads.push_back(parseDouble(item, line_no));
+                spec.loads.push_back(
+                    parseValue<double>(item, line_no, "a finite number"));
         } else if (key == "policies") {
             spec.policies = splitList(value);
         } else if (key == "seeds") {
             spec.seeds.clear();
             for (const auto &item : splitList(value))
-                spec.seeds.push_back(parseSeed(item, line_no));
+                spec.seeds.push_back(
+                    parseValue<uint64_t>(item, line_no, "a seed"));
         } else if (key == "requests") {
-            spec.requests = parseInt(value, line_no);
+            spec.requests = parseValue<int>(value, line_no, "an integer");
         } else if (key == "fast") {
             spec.fast = parseBool(value, line_no);
         } else if (key == "bound_ms") {
-            spec.boundMs = parseDouble(value, line_no);
+            spec.boundMs =
+                parseValue<double>(value, line_no, "a finite number");
         } else if (key == "transition_us") {
-            spec.transitionUs = parseDouble(value, line_no);
+            spec.transitionUs =
+                parseValue<double>(value, line_no, "a finite number");
         } else {
             parseError(line_no, "unknown key '" + key + "'");
         }
@@ -273,52 +252,6 @@ shardRange(std::size_t num_cells, int shard, int num_shards)
     const auto n = static_cast<std::size_t>(num_shards);
     const auto i = static_cast<std::size_t>(shard);
     return ShardRange{num_cells * i / n, num_cells * (i + 1) / n};
-}
-
-bool
-parseShardArg(const std::string &text, int *shard, int *num_shards)
-{
-    const std::size_t slash = text.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= text.size())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const long i = std::strtol(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + slash)
-        return false;
-    const long n = std::strtol(text.c_str() + slash + 1, &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    if (n < 1 || i < 0 || i >= n)
-        return false;
-    *shard = static_cast<int>(i);
-    *num_shards = static_cast<int>(n);
-    return true;
-}
-
-bool
-parseCellRange(const std::string &text, std::size_t *begin,
-               std::size_t *end)
-{
-    const std::size_t dash = text.find('-');
-    if (dash == std::string::npos || dash == 0 ||
-        dash + 1 >= text.size())
-        return false;
-    errno = 0;
-    char *stop = nullptr;
-    const unsigned long long b = std::strtoull(text.c_str(), &stop, 10);
-    if (errno != 0 || stop != text.c_str() + dash)
-        return false;
-    const unsigned long long e =
-        std::strtoull(text.c_str() + dash + 1, &stop, 10);
-    if (errno != 0 || stop != text.c_str() + text.size())
-        return false;
-    if (b >= e)
-        return false;
-    *begin = static_cast<std::size_t>(b);
-    *end = static_cast<std::size_t>(e);
-    return true;
 }
 
 std::string

@@ -106,21 +106,6 @@ struct ShardRange
 ShardRange shardRange(std::size_t num_cells, int shard, int num_shards);
 
 /**
- * Parse an "i/N" shard argument (e.g. "0/3"). Returns false on
- * malformed text or a range violation.
- */
-bool parseShardArg(const std::string &text, int *shard, int *num_shards);
-
-/**
- * Parse a "B-E" half-open cell range (e.g. "0-6": cells 0..5), the
- * `sweep --cells` argument a dynamic scheduler leases to batch
- * children. Returns false on malformed text or begin >= end; the
- * grid-size bound is checked later against the spec.
- */
-bool parseCellRange(const std::string &text, std::size_t *begin,
-                    std::size_t *end);
-
-/**
  * Merge shard CSVs produced by a sharded run: concatenate the contents
  * in order. As a convenience for merging independently produced full
  * CSVs, a later shard's first line is dropped when it is byte-identical

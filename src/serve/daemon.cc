@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "power/power_model.h"
 #include "runner/sweep_runner.h"
 #include "sim/trace.h"
+#include "util/parse_number.h"
 
 namespace rubik {
 
@@ -62,10 +64,8 @@ writeAll(int fd, const std::string &s)
 }
 
 /**
- * The first kMax tokens of one request line, split on ' ' in place:
- * each token's terminator is overwritten with '\0', so a token is a
- * C string that strtod stops reading at the token's end (or at a NUL
- * inside it). `count` counts every token.
+ * The first kMax space-separated tokens of one request line, as views
+ * into the line; `count` counts every token.
  */
 struct Tokens
 {
@@ -74,39 +74,23 @@ struct Tokens
     std::size_t count = 0;
 };
 
-/// Split [p, end) in place; *end must be writable (the line's '\n' or
-/// '\r').
 Tokens
-tokenize(char *p, char *end)
+tokenize(std::string_view line)
 {
     Tokens t;
-    *end = '\0';
-    while (p < end) {
-        while (p < end && *p == ' ')
+    std::size_t p = 0;
+    while (p < line.size()) {
+        if (line[p] == ' ') {
             ++p;
-        char *q = p;
-        while (q < end && *q != ' ')
-            ++q;
-        if (q > p) {
-            if (t.count < Tokens::kMax)
-                t.tok[t.count] =
-                    std::string_view(p, static_cast<std::size_t>(q - p));
-            ++t.count;
-            *q = '\0';
+            continue;
         }
-        p = q + 1;
+        const std::size_t q = std::min(line.find(' ', p), line.size());
+        if (t.count < Tokens::kMax)
+            t.tok[t.count] = line.substr(p, q - p);
+        ++t.count;
+        p = q;
     }
     return t;
-}
-
-/// Parse a NUL-terminated token as a double; false on trailing garbage.
-bool
-parseDouble(std::string_view tok, double *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    *out = std::strtod(tok.data(), &end);
-    return end && *end == '\0' && end != tok.data() && errno == 0;
 }
 
 std::string
@@ -155,15 +139,15 @@ appendDecision(std::string &out, const ServeDecision &d)
     out.append(buf, static_cast<std::size_t>(n));
 }
 
-/// Answer the request line [line, end) by appending its reply line
-/// (no trailing newline) to `out`; *end must be writable. Sets
-/// *shutdown when the client asked the daemon to exit.
+/// Answer one request line (no '\n') by appending its reply line (no
+/// trailing newline) to `out`. Sets *shutdown when the client asked the
+/// daemon to exit.
 void
 handleLine(ServeEngine &engine, const DvfsModel &dvfs,
-           const DaemonConfig &cfg, char *line, char *end,
+           const DaemonConfig &cfg, std::string_view line,
            std::string &out, bool *shutdown)
 {
-    const Tokens t = tokenize(line, end);
+    const Tokens t = tokenize(line);
     if (t.count == 0) {
         out += "err empty request";
         return;
@@ -178,21 +162,31 @@ handleLine(ServeEngine &engine, const DvfsModel &dvfs,
         *shutdown = true;
         out += "ok";
     } else if (cmd == "a") {
-        double time = 0.0, elapsed = 0.0, hint = -1.0;
-        if (t.count < 2 || t.count > 4 || !parseDouble(t.tok[1], &time) ||
-            (t.count > 2 && !parseDouble(t.tok[2], &elapsed)) ||
-            (t.count > 3 && !parseDouble(t.tok[3], &hint)))
+        // Numbers parse by util/parse_number.h: finite, whole token.
+        std::optional<double> time, elapsed = 0.0;
+        std::optional<int> hint = -1;
+        if (t.count >= 2 && t.count <= 4) {
+            time = parseNumber<double>(t.tok[1]);
+            if (t.count > 2)
+                elapsed = parseNumber<double>(t.tok[2]);
+            if (t.count > 3)
+                hint = parseNumber<int>(t.tok[3]);
+        }
+        if (!time || !elapsed || !hint)
             out += "err usage: a <t> [elapsed_cycles] [class_hint]";
         else
-            appendDecision(out, engine.onArrival(time, elapsed,
-                                                 static_cast<int>(hint)));
+            appendDecision(out, engine.onArrival(*time, *elapsed, *hint));
     } else if (cmd == "c") {
-        double time = 0.0, cycles = 0.0, mem = 0.0;
-        if (t.count != 4 || !parseDouble(t.tok[1], &time) ||
-            !parseDouble(t.tok[2], &cycles) || !parseDouble(t.tok[3], &mem))
+        std::optional<double> time, cycles, mem;
+        if (t.count == 4) {
+            time = parseNumber<double>(t.tok[1]);
+            cycles = parseNumber<double>(t.tok[2]);
+            mem = parseNumber<double>(t.tok[3]);
+        }
+        if (!time || !cycles || !mem)
             out += "err usage: c <t> <compute_cycles> <memory_time>";
         else
-            appendDecision(out, engine.onCompletion(time, cycles, mem));
+            appendDecision(out, engine.onCompletion(*time, *cycles, *mem));
     } else if (cmd == "replay") {
         const std::string policy =
             t.count > 2 ? std::string(t.tok[2]) : "rubik";
@@ -278,11 +272,11 @@ answerLines(Client &c, const Handle &handle)
         c.out.erase(0, c.outOff);
         c.outOff = 0;
     }
-    char *const base = c.in.get();
+    const char *const base = c.in.get();
     while (c.hasWork()) {
-        char *nl = static_cast<char *>(
+        const char *nl = static_cast<const char *>(
             std::memchr(base + c.scan, '\n', c.inEnd - c.scan));
-        char *const line = base + c.inBegin;
+        const char *const line = base + c.inBegin;
         const char *const stop = nl ? nl : base + c.inEnd;
         if (static_cast<std::size_t>(stop - line) > kMaxLineBytes) {
             c.out += "err line too long\n";
@@ -293,10 +287,10 @@ answerLines(Client &c, const Handle &handle)
             c.scan = c.inEnd;
             return;
         }
-        char *end = nl;
-        if (end > line && end[-1] == '\r')
-            --end;
-        handle(line, end, c.out);
+        std::string_view text(line, static_cast<std::size_t>(nl - line));
+        if (!text.empty() && text.back() == '\r')
+            text.remove_suffix(1);
+        handle(text, c.out);
         c.out += '\n';
         c.inBegin = c.scan = static_cast<std::size_t>(nl + 1 - base);
     }
@@ -405,9 +399,8 @@ runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config)
     std::vector<Client> clients;
     std::vector<pollfd> fds;
     bool shutdownRequested = false;
-    const auto handle = [&](char *line, char *end, std::string &out) {
-        handleLine(engine, dvfs, config, line, end, out,
-                   &shutdownRequested);
+    const auto handle = [&](std::string_view line, std::string &out) {
+        handleLine(engine, dvfs, config, line, out, &shutdownRequested);
     };
 
     std::fprintf(stderr, "serve: listening on %s\n",

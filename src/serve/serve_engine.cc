@@ -1,6 +1,7 @@
 #include "serve/serve_engine.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <ctime>
 
@@ -101,16 +102,27 @@ ServeEngine::decide(double now)
 }
 
 ServeDecision
-ServeEngine::onArrival(double t, double elapsedCycles, int classHint)
+ServeEngine::refuse(const char *why) const
 {
     ServeDecision d;
+    d.ok = false;
+    d.error = why;
+    d.frequency = frequency_;
+    return d;
+}
+
+ServeDecision
+ServeEngine::onArrival(double t, double elapsedCycles, int classHint)
+{
+    // A non-finite time would never pass the periodic-update catch-up
+    // in advanceTo (inf) or compare at all (nan).
+    if (!std::isfinite(t) || !std::isfinite(elapsedCycles))
+        return refuse("non-finite arrival time or elapsed cycles");
     if (queueDepth() >= cfg_.maxQueue) {
         ++rejected_;
-        d.ok = false;
-        d.error = "queue full";
-        d.frequency = frequency_;
-        return d;
+        return refuse("queue full");
     }
+    ServeDecision d;
     advanceTo(t);
     // Compact the consumed ring prefix once it dominates the lane, so
     // the live window stays a contiguous pointer for CoreView and the
@@ -136,13 +148,12 @@ ServeDecision
 ServeEngine::onCompletion(double t, double computeCycles,
                           double memoryTime)
 {
+    if (!std::isfinite(t) || !std::isfinite(computeCycles) ||
+        !std::isfinite(memoryTime))
+        return refuse("non-finite completion time, cycles or memory time");
+    if (queueDepth() == 0)
+        return refuse("completion with empty queue");
     ServeDecision d;
-    if (queueDepth() == 0) {
-        d.ok = false;
-        d.error = "completion with empty queue";
-        d.frequency = frequency_;
-        return d;
-    }
     advanceTo(t);
     CompletedRequest done;
     done.arrivalTime = arrivals_[head_];

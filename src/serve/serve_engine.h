@@ -94,7 +94,8 @@ class ServeEngine
      * `elapsedCycles` optionally reports the running request's
      * executed cycles at `t` (0 when unknown); `classHint` is the
      * Adrenaline-style class (-1: none). Returns the frequency
-     * decision.
+     * decision; a non-finite `t` or `elapsedCycles` is refused with an
+     * error and changes nothing.
      */
     ServeDecision onArrival(double t, double elapsedCycles = 0.0,
                             int classHint = -1);
@@ -102,7 +103,8 @@ class ServeEngine
     /**
      * Completion of the oldest in-flight request at time `t` with its
      * measured compute cycles and memory time. Returns the frequency
-     * decision for the remaining queue.
+     * decision for the remaining queue; a non-finite argument is
+     * refused with an error and changes nothing.
      */
     ServeDecision onCompletion(double t, double computeCycles,
                                double memoryTime);
@@ -125,6 +127,8 @@ class ServeEngine
     /// @}
 
   private:
+    /// A refused event: `why` as the error, the frequency unchanged.
+    ServeDecision refuse(const char *why) const;
     CoreView view(double now) const;
     /// Run due periodic updates, then advance the stream clock.
     void advanceTo(double t);

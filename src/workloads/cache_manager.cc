@@ -2,18 +2,20 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include "sim/trace.h"
+#include "util/parse_number.h"
 #include "workloads/file_lock.h"
 
 namespace rubik {
@@ -33,6 +35,25 @@ mtimeSeconds(const fs::path &path)
     if (::stat(path.c_str(), &st) != 0)
         return 0;
     return static_cast<int64_t>(st.st_mtime);
+}
+
+/// Split "1.5G" or "15m" into its unit suffix (the trailing letters)
+/// and its number, which must be finite and >= 0
+/// (util/parse_number.h).
+double
+splitSuffix(const std::string &text, const char *what, std::string *suffix)
+{
+    std::size_t cut = text.size();
+    while (cut > 0 &&
+           std::isalpha(static_cast<unsigned char>(text[cut - 1])))
+        --cut;
+    const std::optional<double> value =
+        parseNumber<double>(std::string_view(text).substr(0, cut), 0.0);
+    if (!value)
+        throw std::runtime_error(std::string(what) + ": cannot parse '" +
+                                 text + "'");
+    *suffix = text.substr(cut);
+    return *value;
 }
 
 } // anonymous namespace
@@ -249,15 +270,9 @@ CacheManager::vacuum(uint64_t cap_bytes, int64_t max_age_sec)
 uint64_t
 parseSizeBytes(const std::string &text)
 {
-    if (text.empty())
-        throw std::runtime_error("size: empty string");
-    char *end = nullptr;
-    errno = 0;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || errno != 0 || value < 0)
-        throw std::runtime_error("size: cannot parse '" + text + "'");
+    std::string suffix;
+    const double value = splitSuffix(text, "size", &suffix);
     double scale = 1.0;
-    std::string suffix(end);
     if (!suffix.empty() &&
         (suffix.back() == 'b' || suffix.back() == 'B'))
         suffix.pop_back();
@@ -311,17 +326,9 @@ formatSizeBytes(uint64_t bytes)
 int64_t
 parseDurationSeconds(const std::string &text)
 {
-    if (text.empty())
-        throw std::runtime_error("duration: empty string");
-    char *end = nullptr;
-    errno = 0;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || errno != 0 || value < 0) {
-        throw std::runtime_error("duration: cannot parse '" + text +
-                                 "'");
-    }
+    std::string suffix;
+    const double value = splitSuffix(text, "duration", &suffix);
     double scale = 1.0;
-    const std::string suffix(end);
     if (suffix.size() > 1)
         throw std::runtime_error("duration: bad suffix in '" + text +
                                  "'");

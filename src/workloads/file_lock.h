@@ -31,12 +31,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/file.h>
 #include <unistd.h>
+
+#include "util/parse_number.h"
 
 namespace rubik {
 
@@ -126,11 +129,14 @@ class FileLock
 
     long readHolderPid() const
     {
-        char buf[32] = {0};
-        const ssize_t got = ::pread(fd_, buf, sizeof(buf) - 1, 0);
+        char buf[32];
+        const ssize_t got = ::pread(fd_, buf, sizeof(buf), 0);
         if (got <= 0)
             return 0;
-        return std::strtol(buf, nullptr, 10);
+        // writeHolderPid's "<pid>\n"; anything else reads as no holder.
+        const std::string_view text(buf, static_cast<std::size_t>(got));
+        return parseNumber<long>(text.substr(0, text.find('\n')), 1)
+            .value_or(0);
     }
 
     void writeHolderPid()

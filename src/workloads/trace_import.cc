@@ -1,12 +1,12 @@
 #include "workloads/trace_import.h"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/trace.h"
+#include "util/parse_number.h"
 
 namespace rubik {
 
@@ -49,30 +49,6 @@ splitFields(const std::string &line)
     }
 }
 
-/// Full-token double parse: the entire field must be consumed.
-bool
-parseDouble(const std::string &field, double &out)
-{
-    if (field.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(field.c_str(), &end);
-    return end == field.c_str() + field.size();
-}
-
-bool
-parseInt(const std::string &field, int &out)
-{
-    if (field.empty())
-        return false;
-    char *end = nullptr;
-    const long v = std::strtol(field.c_str(), &end, 10);
-    if (end != field.c_str() + field.size())
-        return false;
-    out = static_cast<int>(v);
-    return true;
-}
-
 } // anonymous namespace
 
 Trace
@@ -104,8 +80,7 @@ parseTraceCsv(const std::string &text, const std::string &source)
             // first line means the header is missing, not optional.
             if (fields.size() != 3 && fields.size() != 4)
                 reject(source, 1, "header must name 3 or 4 columns");
-            double ignored;
-            if (parseDouble(fields[0], ignored))
+            if (parseNumber<double>(fields[0]))
                 reject(source, 1,
                        "missing header row (line 1 is numeric)");
             if (fields[0].rfind("arrival", 0) != 0)
@@ -124,34 +99,32 @@ parseTraceCsv(const std::string &text, const std::string &source)
                        " fields, got " +
                        std::to_string(fields.size()));
         }
+        // Every field is a finite number >= 0 (util/parse_number.h),
+        // the class hint an int >= -1.
+        const auto field = [&](std::size_t i, const char *name) {
+            const std::optional<double> v =
+                parseNumber<double>(fields[i], 0.0);
+            if (!v)
+                reject(source, line_no,
+                       std::string(name) + " '" + fields[i] +
+                           "' is not a finite number >= 0");
+            return *v;
+        };
         TraceRecord r;
-        if (!parseDouble(fields[0], r.arrivalTime))
-            reject(source, line_no,
-                   "unparsable arrival time '" + fields[0] + "'");
-        if (!parseDouble(fields[1], r.computeCycles))
-            reject(source, line_no,
-                   "unparsable compute cycles '" + fields[1] + "'");
-        if (!parseDouble(fields[2], r.memoryTime))
-            reject(source, line_no,
-                   "unparsable memory time '" + fields[2] + "'");
-        if (!std::isfinite(r.arrivalTime) || r.arrivalTime < 0.0)
-            reject(source, line_no,
-                   "arrival time must be finite and >= 0");
+        r.arrivalTime = field(0, "arrival time");
+        r.computeCycles = field(1, "compute cycles");
+        r.memoryTime = field(2, "memory time");
         if (!trace.empty() && r.arrivalTime < prev_arrival)
             reject(source, line_no,
                    "non-monotonic arrival time (goes backwards)");
-        if (!std::isfinite(r.computeCycles) || r.computeCycles < 0.0)
-            reject(source, line_no,
-                   "compute cycles must be finite and >= 0");
-        if (!std::isfinite(r.memoryTime) || r.memoryTime < 0.0)
-            reject(source, line_no,
-                   "memory time must be finite and >= 0");
         if (columns == 4) {
-            if (!parseInt(fields[3], r.classHint))
+            const std::optional<int> hint =
+                parseNumber<int>(fields[3], -1);
+            if (!hint)
                 reject(source, line_no,
-                       "unparsable class hint '" + fields[3] + "'");
-            if (r.classHint < -1)
-                reject(source, line_no, "class hint must be >= -1");
+                       "class hint '" + fields[3] +
+                           "' is not an integer >= -1");
+            r.classHint = *hint;
         }
         prev_arrival = r.arrivalTime;
         trace.push_back(r);

@@ -12,6 +12,7 @@
 
 #include "runner/fault.h"
 #include "util/error.h"
+#include "util/parse_number.h"
 #include "workloads/cache_manager.h"
 #include "workloads/file_lock.h"
 #include "workloads/trace_gen.h"
@@ -23,19 +24,14 @@ namespace {
 /**
  * Bound on the per-key generation lock wait, from
  * RUBIK_LOCK_TIMEOUT_SEC (read per call so tests can tighten it),
- * default 120 s. <= 0 restores the unbounded wait.
+ * default 120 s, also when the value is not one finite number. <= 0
+ * restores the unbounded wait.
  */
 double
 lockTimeoutSeconds()
 {
     const char *env = std::getenv("RUBIK_LOCK_TIMEOUT_SEC");
-    if (!env || !*env)
-        return 120.0;
-    char *end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end == env)
-        return 120.0;
-    return v;
+    return parseNumber<double>(env ? env : "").value_or(120.0);
 }
 
 } // anonymous namespace

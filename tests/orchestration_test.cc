@@ -171,20 +171,6 @@ TEST(FaultSpec, RejectsBadGrammar)
     EXPECT_THROW(parseFaultSpec("hang,ms=abc"), std::runtime_error);
 }
 
-TEST(CellRange, ParsesHalfOpenRanges)
-{
-    std::size_t b = 0, e = 0;
-    EXPECT_TRUE(parseCellRange("2-5", &b, &e));
-    EXPECT_EQ(b, 2u);
-    EXPECT_EQ(e, 5u);
-    EXPECT_FALSE(parseCellRange("5-2", &b, &e));
-    EXPECT_FALSE(parseCellRange("3-3", &b, &e));
-    EXPECT_FALSE(parseCellRange("3", &b, &e));
-    EXPECT_FALSE(parseCellRange("-3", &b, &e));
-    EXPECT_FALSE(parseCellRange("a-b", &b, &e));
-    EXPECT_FALSE(parseCellRange("1-2x", &b, &e));
-}
-
 // --------------------------------------------------------------------
 // Ledger
 
@@ -458,6 +444,34 @@ class OrchestrationCli : public ::testing::Test
     std::string spec_path;
     std::string baseline;
 };
+
+// `--cells B-E` runs the half-open cell range, rows only; anything but
+// two whole numbers with B < E is refused before any cell runs.
+TEST_F(OrchestrationCli, CellsFlagTakesHalfOpenRanges)
+{
+    const CommandResult r =
+        runCommand(sweepCmd("--cells 1-3"), dir.path, "cells");
+    ASSERT_EQ(r.status, 0) << r.err;
+    // The baseline is the header, then one line per cell.
+    std::vector<std::string> lines;
+    std::istringstream in(baseline);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line + "\n");
+    ASSERT_EQ(lines.size(), 5u);
+    EXPECT_EQ(r.out, lines[2] + lines[3]);
+
+    for (const char *bad :
+         {"5-2", "3-3", "3", "-3", "a-b", "1-2x", "1-2-3", "+1-2"}) {
+        const CommandResult b =
+            runCommand(sweepCmd("--cells '" + std::string(bad) + "'"),
+                       dir.path, "bad-cells");
+        EXPECT_TRUE(WIFEXITED(b.status) && WEXITSTATUS(b.status) == 1)
+            << bad << ": " << describeWaitStatus(b.status);
+        EXPECT_NE(b.err.find("--cells wants B-E with B < E"),
+                  std::string::npos)
+            << bad << ": " << b.err;
+    }
+}
 
 TEST_F(OrchestrationCli, CrashFaultThenResumeIsByteIdentical)
 {

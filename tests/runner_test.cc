@@ -9,9 +9,13 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
+#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -76,6 +80,44 @@ TEST(OptionsParser, DistinctFlagsStillRegister)
     EXPECT_TRUE(csv);
 }
 
+/// Run addRunFlags over argv {"prog", flag, value}.
+CommonRunOptions
+parseRunFlag(const char *flag, const char *value)
+{
+    char prog[] = "prog";
+    std::string f = flag, v = value;
+    char *argv[] = {prog, f.data(), v.data()};
+    OptionsParser parser(3, argv);
+    CommonRunOptions opts;
+    addRunFlags(parser, &opts);
+    parser.run();
+    return opts;
+}
+
+// --jobs is bounded by ExperimentRunner::kMaxWorkers (a pool starts
+// one thread per worker); --seed and --requests parse strictly too.
+// Parsing only: no runner is built from these values.
+TEST(OptionsParser, RunFlagsAreStrictAndJobsIsBounded)
+{
+    EXPECT_EQ(parseRunFlag("--jobs", "0").jobs, 0);
+    EXPECT_EQ(parseRunFlag("--jobs", "1024").jobs,
+              ExperimentRunner::kMaxWorkers);
+    EXPECT_EQ(parseRunFlag("--seed", "18446744073709551615").seed,
+              UINT64_MAX);
+    EXPECT_EQ(parseRunFlag("--requests", "0").requests, 0);
+
+    const std::pair<const char *, const char *> bad[] = {
+        {"--jobs", "1025"},    {"--jobs", "100000"}, {"--jobs", "-1"},
+        {"--jobs", "4x"},      {"--seed", "-1"},     {"--seed", "abc"},
+        {"--requests", "1e3"}, {"--requests", "-5"},
+    };
+    for (const auto &[flag, value] : bad) {
+        EXPECT_EXIT(parseRunFlag(flag, value), ::testing::ExitedWithCode(1),
+                    std::string(flag) + ": invalid value '" + value + "'")
+            << flag << " " << value;
+    }
+}
+
 TEST(ExperimentRunner, RunsAllJobsInSubmissionOrder)
 {
     ExperimentRunner runner(4);
@@ -93,6 +135,35 @@ TEST(ExperimentRunner, DefaultWorkerCountPositive)
     EXPECT_GE(ExperimentRunner::defaultWorkerCount(), 1);
     ExperimentRunner runner;
     EXPECT_GE(runner.numWorkers(), 1);
+}
+
+// RUBIK_JOBS is honoured only as a whole number in [1, kMaxWorkers];
+// anything else falls back to the (capped) hardware count. Only the
+// count is computed: no runner is built from these values.
+TEST(ExperimentRunner, DefaultWorkerCountBoundsRubikJobs)
+{
+    const char *saved = std::getenv("RUBIK_JOBS");
+    const std::string restore = saved ? saved : "";
+    ::unsetenv("RUBIK_JOBS");
+    const int fallback = ExperimentRunner::defaultWorkerCount();
+    EXPECT_GE(fallback, 1);
+    EXPECT_LE(fallback, ExperimentRunner::kMaxWorkers);
+
+    ::setenv("RUBIK_JOBS", "3", 1);
+    EXPECT_EQ(ExperimentRunner::defaultWorkerCount(), 3);
+    ::setenv("RUBIK_JOBS", "1024", 1);
+    EXPECT_EQ(ExperimentRunner::defaultWorkerCount(),
+              ExperimentRunner::kMaxWorkers);
+    for (const char *bad : {"100000", "1025", "0", "-2", "3x", " 3", ""}) {
+        ::setenv("RUBIK_JOBS", bad, 1);
+        EXPECT_EQ(ExperimentRunner::defaultWorkerCount(), fallback)
+            << "'" << bad << "'";
+    }
+
+    if (saved)
+        ::setenv("RUBIK_JOBS", restore.c_str(), 1);
+    else
+        ::unsetenv("RUBIK_JOBS");
 }
 
 // Parallel simulation results must equal serial results bit for bit:

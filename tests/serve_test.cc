@@ -11,7 +11,9 @@
  * client streaming an over-long line being dropped without stalling
  * the others, pipelined and chunked streams answered exactly like an
  * in-process engine, a client that never reads its replies stalling
- * only itself, and strict parsing of the daemon's numeric flags.
+ * only itself, non-finite event times refused by the engine and the
+ * daemon alike, and strict parsing of every subcommand's numeric
+ * flags.
  */
 
 #include <algorithm>
@@ -25,6 +27,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -189,6 +192,41 @@ TEST(ServeEngine, CompletionOnEmptyQueueIsAnError)
     ASSERT_NE(d.error, nullptr);
     EXPECT_STREQ(d.error, "completion with empty queue");
     EXPECT_EQ(engine.decisionLog().count, 0u);
+}
+
+// A non-finite event time used to spin advanceTo's periodic-update
+// catch-up forever (inf). The engine now refuses any non-finite time,
+// cycles or memory time, changes nothing, and keeps serving. The calls
+// run in a child under an alarm, so a regression fails instead of
+// hanging the suite.
+TEST(ServeEngine, NonFiniteEventsAreRefused)
+{
+    EXPECT_EXIT(
+        {
+            ::alarm(30);
+            ServeEngine engine(DvfsModel::haswell(), testConfig());
+            const double inf = std::numeric_limits<double>::infinity();
+            const double nan = std::numeric_limits<double>::quiet_NaN();
+            int bad = 0;
+            const auto refused = [&bad](const ServeDecision &d) {
+                bad += d.ok || d.error == nullptr;
+            };
+            refused(engine.onArrival(inf));
+            refused(engine.onArrival(-inf));
+            refused(engine.onArrival(nan));
+            refused(engine.onArrival(1e-3, inf));
+            bad += engine.queueDepth() != 0;
+            bad += !engine.onArrival(1e-3).ok;
+            refused(engine.onCompletion(inf, 1e5, 1e-5));
+            refused(engine.onCompletion(2e-3, nan, 1e-5));
+            refused(engine.onCompletion(2e-3, 1e5, -inf));
+            bad += engine.queueDepth() != 1;
+            bad += !engine.onCompletion(2e-3, 1e5, 1e-5).ok;
+            bad += engine.decisionLog().count != 2;
+            std::fprintf(stderr, "bad=%d\n", bad);
+            std::exit(bad == 0 ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "bad=0");
 }
 
 TEST(ServeEngine, BoundedQueueRejectsOverflow)
@@ -830,6 +868,32 @@ TEST_F(ServeDaemonCli, ClientThatNeverReadsStallsOnlyItself)
         << "replies differ at byte " << (diff.first - got.begin());
 }
 
+// Non-finite event times are answered with a named err, and the same
+// connection keeps being served. `a inf` used to hang the daemon for
+// every client; readLines' deadline bounds the wait if it regresses.
+TEST_F(ServeDaemonCli, NonFiniteTimesGetErrAndConnectionStaysUp)
+{
+    startDaemon("");
+    const int fd = connectWithTimeouts(socketPath);
+    ASSERT_GE(fd, 0);
+    const std::string input = "a inf\na -inf\na nan\na 1e-3\n"
+                              "c 1 nan 0\nc 2e-3 5e5 1e-4\nping\n";
+    ASSERT_TRUE(sendAll(fd, input.data(), input.size()));
+    const std::vector<std::string> got = readLines(fd, 7, 10.0);
+    ::close(fd);
+    ASSERT_EQ(got.size(), 7u) << "the daemon stopped answering";
+    const std::string usageA = "err usage: a <t> [elapsed_cycles] "
+                               "[class_hint]";
+    EXPECT_EQ(got[0], usageA);
+    EXPECT_EQ(got[1], usageA);
+    EXPECT_EQ(got[2], usageA);
+    EXPECT_EQ(got[3].compare(0, 2, "f "), 0) << got[3];
+    EXPECT_EQ(got[4], "err usage: c <t> <compute_cycles> <memory_time>");
+    EXPECT_EQ(got[5].compare(0, 2, "f "), 0) << got[5];
+    EXPECT_EQ(got[6], "ok");
+    EXPECT_EQ(serveQuery(socketPath, "ping", 2.0), "ok");
+}
+
 TEST_F(ServeDaemonCli, RefusesSecondDaemonOnLiveSocket)
 {
     startDaemon("");
@@ -847,42 +911,82 @@ TEST_F(ServeDaemonCli, RefusesSecondDaemonOnLiveSocket)
     daemonPid = -1;
 }
 
-// The daemon's numeric flags parse strictly: a malformed or
-// out-of-range value is a named error (exit 1), never a wrapped or
-// silently defaulted number. --stats keeps every case from starting a
-// daemon, so a flag that parsed would fail the message check instead.
-TEST(ServeFlags, RejectMalformedValues)
+// Every subcommand's numeric flags parse strictly
+// (util/parse_number.h): a malformed or out-of-range value is a named
+// error (exit 1), never a wrapped or silently defaulted number, and an
+// unregistered flag is refused. Each command carries flags that stop
+// it right after parsing (serve --stats with no daemon, --csv with
+// --json, no --out, vacuum with no --cap), so a value that parsed
+// fails the message check instead of starting real work.
+TEST(CliFlags, RejectMalformedValues)
 {
     const char *cli = std::getenv("RUBIK_CLI");
     if (!cli || !*cli || !std::filesystem::exists(cli))
         GTEST_SKIP() << "RUBIK_CLI not set or missing";
     ScratchDir dir;
     ASSERT_FALSE(dir.path.empty());
-    const std::vector<std::pair<std::string, std::string>> cases = {
-        {"--age-buckets", "-1"},   {"--age-buckets", "1"},
-        {"--leaves", "abc"},       {"--leaves", "129"},
-        {"--max-positions", "0"},  {"--fallback-band", "2x"},
-        {"--max-queue", "-5"},     {"--max-queue", "0"},
-        {"--bound-ms", "nope"},    {"--bound-ms", "-2"},
-        {"--update-ms", "inf"},    {"--percentile", "1"},
-        {"--percentile", "0"},     {"--percentile", "nan"},
-        {"--transition-us", "-4"}, {"--transition-us", "4us"},
+    struct Case
+    {
+        std::string subcommand, flag, value; ///< value "": boolean flag
     };
-    for (const auto &[flag, value] : cases) {
+    const std::string serve =
+        "serve --socket " + dir.path + "/none.sock --stats";
+    const std::vector<Case> cases = {
+        {serve, "--age-buckets", "-1"},
+        {serve, "--age-buckets", "1"},
+        {serve, "--leaves", "abc"},
+        {serve, "--leaves", "129"},
+        {serve, "--max-positions", "0"},
+        {serve, "--fallback-band", "2x"},
+        {serve, "--max-queue", "-5"},
+        {serve, "--max-queue", "0"},
+        {serve, "--bound-ms", "nope"},
+        {serve, "--bound-ms", "-2"},
+        {serve, "--update-ms", "inf"},
+        {serve, "--percentile", "1"},
+        {serve, "--percentile", "0"},
+        {serve, "--percentile", "nan"},
+        {serve, "--transition-us", "-4"},
+        {serve, "--transition-us", "4us"},
+        {"--csv --json", "--load", "abc"},
+        {"--csv --json", "--loads", "0.5,x"},
+        {"--csv --json", "--bound-ms", "+2"},
+        {"fleet --csv --json", "--cores", "96,abc"},
+        {"fleet --csv --json", "--budget-frac", "0.5,"},
+        {"fleet --csv --json", "--epochs", "-1"},
+        {"fleet --csv --json", "--seed", "-1"},
+        {"distill", "--leaves", "-1"},
+        {"distill", "--load", "0x1"},
+        {"trace gen", "--load", "nan"},
+        {"trace gen", "--requests", "1e3"},
+        {"cache vacuum --dir " + dir.path + "/cache", "--fix", ""},
+    };
+    for (const Case &c : cases) {
         const CommandResult r = runCommand(
-            std::string(cli) + " serve --socket " + dir.path +
-                "/none.sock --stats " + flag + " '" + value + "'",
+            std::string(cli) + " " + c.subcommand + " " + c.flag +
+                (c.value.empty() ? "" : " '" + c.value + "'"),
             dir.path, "flag");
+        const std::string want =
+            c.value.empty() ? "unknown flag " + c.flag
+                            : c.flag + ": invalid value '" + c.value + "'";
         EXPECT_TRUE(WIFEXITED(r.status) && WEXITSTATUS(r.status) == 1)
-            << flag << " " << value << ": "
+            << c.subcommand << " " << c.flag << " " << c.value << ": "
             << describeWaitStatus(r.status);
-        EXPECT_NE(r.err.find(flag + ": invalid value '" + value + "'"),
-                  std::string::npos)
+        EXPECT_NE(r.err.find(want), std::string::npos)
+            << c.subcommand << " " << c.flag << " " << c.value << ": "
             << r.err;
     }
+}
 
-    // A shape whose distilled LUT would be too large fails at startup,
-    // before the socket exists.
+// A distilled shape whose LUT would be too large fails serve startup,
+// before the socket exists.
+TEST(ServeFlags, OversizedDistilledShapeFailsStartup)
+{
+    const char *cli = std::getenv("RUBIK_CLI");
+    if (!cli || !*cli || !std::filesystem::exists(cli))
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    ScratchDir dir;
+    ASSERT_FALSE(dir.path.empty());
     const std::string sock = dir.path + "/big.sock";
     const pid_t pid = spawnShellCommand(
         "exec " + std::string(cli) + " serve --socket " + sock +

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runner/options_parser.h"
 #include "runner/sweep_runner.h"
 #include "runner/sweep_spec.h"
 #include "workloads/trace_gen.h"
@@ -218,21 +219,39 @@ TEST(ShardRange, RejectsOutOfRangeArguments)
     EXPECT_THROW(shardRange(10, 3, 3), std::runtime_error);
 }
 
-TEST(ShardRange, ParseShardArg)
+/// Parse argv {"prog", "--shard", text} through addShardFlag.
+ShardOption
+parseShardFlag(const char *text)
 {
-    int shard = -1, num = -1;
-    EXPECT_TRUE(parseShardArg("0/3", &shard, &num));
-    EXPECT_EQ(shard, 0);
-    EXPECT_EQ(num, 3);
-    EXPECT_TRUE(parseShardArg("6/7", &shard, &num));
-    EXPECT_EQ(shard, 6);
+    char prog[] = "prog";
+    char flag[] = "--shard";
+    std::string value = text;
+    char *argv[] = {prog, flag, value.data()};
+    OptionsParser parser(3, argv);
+    ShardOption shard;
+    addShardFlag(parser, &shard);
+    parser.run();
+    return shard;
+}
 
-    EXPECT_FALSE(parseShardArg("3/3", &shard, &num));  // i >= N
-    EXPECT_FALSE(parseShardArg("-1/3", &shard, &num));
-    EXPECT_FALSE(parseShardArg("1/0", &shard, &num));
-    EXPECT_FALSE(parseShardArg("1", &shard, &num));
-    EXPECT_FALSE(parseShardArg("a/b", &shard, &num));
-    EXPECT_FALSE(parseShardArg("1/2x", &shard, &num));
+TEST(ShardRange, ShardFlagParsesIOverN)
+{
+    ShardOption shard = parseShardFlag("0/3");
+    EXPECT_TRUE(shard.given);
+    EXPECT_EQ(shard.shard, 0);
+    EXPECT_EQ(shard.numShards, 3);
+    shard = parseShardFlag("6/7");
+    EXPECT_EQ(shard.shard, 6);
+    EXPECT_EQ(shard.numShards, 7);
+
+    // i >= N, negative, N < 1, no slash, not numbers, trailing junk,
+    // a third field, and a '+' sign all exit 1 with the usage line.
+    for (const char *bad : {"3/3", "-1/3", "1/0", "1", "a/b", "1/2x",
+                            "0/2/3", "+0/2", "0/", "/2"}) {
+        EXPECT_EXIT(parseShardFlag(bad), ::testing::ExitedWithCode(1),
+                    "--shard wants I/N with 0 <= I < N")
+            << bad;
+    }
 }
 
 TEST(MergeCsv, HeaderOnceShardsConcatenate)

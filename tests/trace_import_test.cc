@@ -114,6 +114,33 @@ TEST(TraceImport, RejectsEveryMalformationWithLineNumber)
                          "header-only truncation");
 }
 
+// Numbers parse by util/parse_number.h: a class hint past INT_MAX
+// used to wrap (strtol then an int cast read 4294967296 as class 0),
+// and strtod's extras (hex, '+', inf) are refused; padding around a
+// field is still trimmed.
+TEST(TraceImport, NumbersParseStrictlyAfterTrimming)
+{
+    const std::string h4 = "arrival_s,compute_cycles,memory_time_s,class\n";
+    expectRejectedAtLine(h4 + "0.001,240000,0.0001,4294967296\n", 2,
+                         "class hint past INT_MAX");
+    expectRejectedAtLine(h4 + "0.001,240000,0.0001,-2\n", 2,
+                         "class hint below -1");
+    expectRejectedAtLine(h4 + "0.001,240000,0.0001,1.5\n", 2,
+                         "fractional class hint");
+    const std::string h = kHeader;
+    expectRejectedAtLine(h + "0x1,240000,0.0001\n", 2, "hex arrival");
+    expectRejectedAtLine(h + "+0.001,240000,0.0001\n", 2, "'+' sign");
+    expectRejectedAtLine(h + "0.001,1e400,0.0001\n", 2, "overflow");
+
+    const Trace t = parseTraceCsv(
+        h4 + " 0.001 ,\t240000, 0.0001 , 3\r\n", "test");
+    ASSERT_EQ(t.size(), 1u);
+    EXPECT_EQ(t[0].arrivalTime, 0.001);
+    EXPECT_EQ(t[0].computeCycles, 240000.0);
+    EXPECT_EQ(t[0].memoryTime, 0.0001);
+    EXPECT_EQ(t[0].classHint, 3);
+}
+
 TEST(TraceImport, RejectsHeaderOnlyFile)
 {
     expectRejectedAtLine(kHeader, 1, "no records");

@@ -1,15 +1,23 @@
 /**
  * @file
  * Unit tests for src/util: RNG determinism and sampling quality, FFT
- * correctness, FFT vs direct convolution equivalence.
+ * correctness, FFT vs direct convolution equivalence, and the strict
+ * number grammar of parseNumber/parseNumberList.
  */
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/fft.h"
+#include "util/parse_number.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -296,6 +304,85 @@ TEST(Units, Conversions)
     EXPECT_DOUBLE_EQ(1.0 * kMs, 1e-3);
     EXPECT_DOUBLE_EQ(1.0 * kUs, 1e-6);
     EXPECT_DOUBLE_EQ(2.4 * kGHz, 2.4e9);
+}
+
+// ------------------------------------------------------------------
+// parseNumber: whole token, decimal, finite, in range.
+
+TEST(ParseNumber, RejectsEverythingButOneDecimalNumber)
+{
+    // Tokens strtod or strtol read as a number (or as 0), and the
+    // one grammar refuses.
+    for (const char *tok :
+         {"", "+1", " 1", "1 ", "0x10", "0x1p3", "2x", "1e400", "-1e400",
+          "1e-400", "inf", "-inf", "nan", "INF", "1,5", "1e", "."}) {
+        EXPECT_EQ(parseNumber<double>(tok), std::nullopt) << "'" << tok
+                                                          << "'";
+    }
+    for (const char *tok : {"", "+1", " 1", "0x10", "2x", "1.5", "1e3",
+                            "inf", "nan", "2147483648", "-2147483649"})
+        EXPECT_EQ(parseNumber<int>(tok), std::nullopt) << "'" << tok << "'";
+    for (const char *tok :
+         {"-0", "-1", "18446744073709551616", "99999999999999999999"})
+        EXPECT_EQ(parseNumber<uint64_t>(tok), std::nullopt) << tok;
+}
+
+TEST(ParseNumber, AcceptsDecimalsExactlyAsStrtod)
+{
+    EXPECT_EQ(parseNumber<int>("2147483647"), 2147483647);
+    EXPECT_EQ(parseNumber<int>("-2147483648"),
+              std::numeric_limits<int>::min());
+    EXPECT_EQ(parseNumber<int>("-0"), 0);
+    EXPECT_EQ(parseNumber<int>("007"), 7);
+    EXPECT_EQ(parseNumber<uint64_t>("18446744073709551615"), UINT64_MAX);
+    // "-0" is the double -0.0; it passes a lower bound of 0 (-0.0 ==
+    // 0.0), as it did through strtod.
+    const std::optional<double> negZero = parseNumber<double>("-0", 0.0);
+    ASSERT_TRUE(negZero);
+    EXPECT_TRUE(std::signbit(*negZero));
+    // Decimal tokens round exactly as strtod does: bit-identical.
+    for (const char *tok :
+         {"0.1", "0.4", ".5", "1.", "1e5", "1E+05", "2.5e-3",
+          "0.30000000000000004", "4.9e-324", "1.7976931348623157e308",
+          "123456789012345678901234567890", "1e-310"}) {
+        const std::optional<double> v = parseNumber<double>(tok);
+        ASSERT_TRUE(v) << tok;
+        EXPECT_EQ(*v, std::strtod(tok, nullptr)) << tok;
+    }
+}
+
+TEST(ParseNumber, RangeIsClosedAndBaseSixteenIsBareDigits)
+{
+    EXPECT_EQ(parseNumber<double>("1", 0.0, 1.0), 1.0);
+    EXPECT_EQ(parseNumber<double>("0", 0.0, 1.0), 0.0);
+    EXPECT_EQ(parseNumber<double>("1.0000001", 0.0, 1.0), std::nullopt);
+    EXPECT_EQ(parseNumber<double>("-1e-300", 0.0, 1.0), std::nullopt);
+    EXPECT_EQ(parseNumber<int>("0", 1), std::nullopt);
+    EXPECT_EQ(parseNumber<int>("1025", 0, 1024), std::nullopt);
+
+    EXPECT_EQ(parseNumber<uint64_t>("ffffffffffffffff", 0, UINT64_MAX, 16),
+              UINT64_MAX);
+    EXPECT_EQ(parseNumber<uint64_t>("00000000000000aB", 0, UINT64_MAX, 16),
+              0xabu);
+    EXPECT_EQ(parseNumber<uint64_t>("0x10", 0, UINT64_MAX, 16),
+              std::nullopt);
+    EXPECT_EQ(parseNumber<uint64_t>("10000000000000000", 0, UINT64_MAX, 16),
+              std::nullopt);
+}
+
+TEST(ParseNumber, ListsNeedEveryItem)
+{
+    EXPECT_EQ(parseNumberList<double>("0.3,0.5", ','),
+              (std::vector<double>{0.3, 0.5}));
+    EXPECT_EQ(parseNumberList<int>("7", ','), std::vector<int>{7});
+    EXPECT_EQ(parseNumberList<int>("1/4", '/', 0),
+              (std::vector<int>{1, 4}));
+    for (const char *list : {"", ",", "0.5,", ",0.5", "0.5,,0.6",
+                             "0.5,x", "0.5, 0.6", "0.5,inf"})
+        EXPECT_EQ(parseNumberList<double>(list, ','), std::nullopt)
+            << "'" << list << "'";
+    // Range applies to each item.
+    EXPECT_EQ(parseNumberList<int>("96,0", ',', 1), std::nullopt);
 }
 
 } // namespace

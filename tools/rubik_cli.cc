@@ -89,11 +89,33 @@ using namespace rubik;
 
 namespace {
 
+/// Numeric flag ranges shared by every subcommand
+/// (OptionsParser::number).
+constexpr double kHuge = std::numeric_limits<double>::max();
+constexpr std::size_t kMaxShape = std::size_t(1) << 24;
+/// A load is a fraction in (0, 1.5), as in a sweep spec.
+const double kMinLoad = std::numeric_limits<double>::denorm_min();
+const double kMaxLoad = std::nextafter(1.5, 0.0);
+
+/// The distilled model's shape flags, shared by serve and distill.
+void
+addDistillShapeFlags(OptionsParser &parser, DistilledConfig *dc)
+{
+    parser.number("--leaves", &dc->leaves, std::size_t(0),
+                  std::size_t(128));
+    parser.number("--age-buckets", &dc->ageBuckets, std::size_t(2),
+                  kMaxShape);
+    parser.number("--max-positions", &dc->maxPositions, std::size_t(1),
+                  std::size_t(1) << 20);
+    parser.number("--fallback-band", &dc->fallbackBand, std::size_t(0),
+                  kMaxShape);
+}
+
 struct CliOptions
 {
     std::string app = "masstree";
     std::string policy = "rubik";
-    std::vector<double> loads = {0.4};
+    std::vector<double> loads; ///< --loads; else {--load} (0.4).
     int requests = 9000;
     double boundMs = 0.0;       ///< 0: auto (fixed-freq tail @50%).
     double transitionUs = 4.0;
@@ -284,38 +306,11 @@ parse(int argc, char **argv)
     OptionsParser parser(argc, argv);
     parser.value("--app", [&o](const char *v) { o.app = v; });
     parser.value("--policy", [&o](const char *v) { o.policy = v; });
-    parser.value("--load",
-                 [&o](const char *v) { o.loads = {std::atof(v)}; });
-    parser.value("--loads", [&o](const char *v) {
-        o.loads.clear();
-        const std::string list = v;
-        std::size_t pos = 0;
-        while (pos < list.size()) {
-            std::size_t comma = list.find(',', pos);
-            if (comma == std::string::npos)
-                comma = list.size();
-            const std::string item = list.substr(pos, comma - pos);
-            const double load = std::atof(item.c_str());
-            if (load <= 0.0 || load >= 1.5) {
-                std::fprintf(stderr,
-                             "--loads: '%s' is not a load in "
-                             "(0, 1.5)\n",
-                             item.c_str());
-                std::exit(1);
-            }
-            o.loads.push_back(load);
-            pos = comma + 1;
-        }
-        if (o.loads.empty()) {
-            std::fprintf(stderr, "--loads needs a comma list\n");
-            std::exit(1);
-        }
-    });
-    parser.value("--bound-ms",
-                 [&o](const char *v) { o.boundMs = std::atof(v); });
-    parser.value("--transition-us", [&o](const char *v) {
-        o.transitionUs = std::atof(v);
-    });
+    double load = 0.4;
+    parser.number("--load", &load, kMinLoad, kMaxLoad);
+    parser.numbers("--loads", &o.loads, kMinLoad, kMaxLoad);
+    parser.number("--bound-ms", &o.boundMs, 0.0, kHuge);
+    parser.number("--transition-us", &o.transitionUs, 0.0, kHuge);
     parser.flag("--csv", [&o] { o.csv = true; });
     parser.flag("--json", [&o] { o.json = true; });
     parser.flag("--bursty", [&o] { o.bursty = true; });
@@ -323,26 +318,23 @@ parse(int argc, char **argv)
     // parser.run() (addRunFlags owns the shared SimOptions).
     parser.flag("--thermal",
                 [&run] { run.sim.thermal.enabled = true; });
-    parser.value("--tj", [&run](const char *v) {
-        run.sim.thermal.params.junction = std::atof(v);
-    });
-    parser.value("--ambient", [&run](const char *v) {
-        // The leakage reference follows ambient so a chip at rest has
-        // exactly the calibrated (legacy) leakage share.
-        run.sim.thermal.params.ambient = std::atof(v);
-        run.sim.thermal.params.leakTref =
-            run.sim.thermal.params.ambient;
-    });
+    parser.number("--tj", &run.sim.thermal.params.junction);
+    parser.number("--ambient", &run.sim.thermal.params.ambient);
     parser.flag("--decision-hash", [&o] { o.decisionHash = true; });
     addRunFlags(parser, &run);
     addSimdFlag(parser, &run);
     parser.onUnknown([argv](const char *) { usage(argv[0]); });
     parser.run();
 
+    if (o.loads.empty())
+        o.loads = {load};
     o.requests = run.requests;
     o.seed = run.seed;
     o.jobs = run.jobs;
     o.sim = run.sim;
+    // The leakage reference follows ambient so a chip at rest has
+    // exactly the calibrated (legacy) leakage share.
+    o.sim.thermal.params.leakTref = o.sim.thermal.params.ambient;
     if (run.simdGiven)
         applySimdSelection(run);
     if (o.csv && o.json) {
@@ -381,7 +373,7 @@ sweepMain(int argc, char **argv)
     OptionsParser parser(argc, argv, 2);
     parser.value("--spec", [&](const char *v) { spec_path = v; });
     addShardFlag(parser, &shard);
-    parser.number("--jobs", &jobs, 0);
+    parser.number("--jobs", &jobs, 0, ExperimentRunner::kMaxWorkers);
     parser.value("--backend", [&](const char *v) { backend_desc = v; });
     parser.number("--shards", &dispatch_shards, 1);
     parser.number("--retries", &retries, 0,
@@ -484,13 +476,17 @@ sweepMain(int argc, char **argv)
         if (!cache_cap.empty())
             globalTraceStore().setCacheCap(parseSizeBytes(cache_cap));
         if (!cells_arg.empty()) {
-            std::size_t begin = 0, end = 0;
-            if (!parseCellRange(cells_arg, &begin, &end)) {
+            // B-E, half open: "0-6" is cells 0..5. The grid-size bound
+            // is checked against the spec.
+            const auto range =
+                parseNumberList<std::size_t>(cells_arg, '-', 0);
+            if (!range || range->size() != 2 ||
+                (*range)[0] >= (*range)[1]) {
                 std::fprintf(stderr,
                              "sweep: --cells wants B-E with B < E\n");
                 return 1;
             }
-            runSweepCells(spec, begin, end, jobs, stdout);
+            runSweepCells(spec, (*range)[0], (*range)[1], jobs, stdout);
         } else if (!orchestrated && backend_desc == "local") {
             runSweep(spec, shard.shard, shard.numShards, jobs, stdout);
         } else {
@@ -583,7 +579,7 @@ isoUtc(int64_t seconds)
     return buf;
 }
 
-/// Shared flag parsing for the `cache` sub-subcommands.
+/// The `cache` sub-subcommands' flags.
 struct CacheOptions
 {
     std::string dir;
@@ -608,31 +604,21 @@ cacheMain(int argc, char **argv)
     CacheOptions o;
     if (const char *env = std::getenv("RUBIK_TRACE_CACHE"))
         o.dir = env;
-    for (int i = 3; i < argc; ++i) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--dir"))
-            o.dir = need("--dir");
-        else if (!std::strcmp(argv[i], "--json"))
-            o.json = true;
-        else if (!std::strcmp(argv[i], "--fix") && action == "verify")
-            o.fix = true;
-        else if (!std::strcmp(argv[i], "--cap") && action == "vacuum")
-            o.cap = need("--cap");
-        else if (!std::strcmp(argv[i], "--max-age") &&
-                 action == "vacuum")
-            o.maxAge = need("--max-age");
-        else {
-            std::fprintf(stderr, "cache %s: unknown flag %s\n",
-                         action.c_str(), argv[i]);
-            return 1;
-        }
+    OptionsParser parser(argc, argv, 3);
+    parser.value("--dir", [&](const char *v) { o.dir = v; });
+    parser.flag("--json", [&] { o.json = true; });
+    if (action == "verify")
+        parser.flag("--fix", [&] { o.fix = true; });
+    if (action == "vacuum") {
+        parser.value("--cap", [&](const char *v) { o.cap = v; });
+        parser.value("--max-age", [&](const char *v) { o.maxAge = v; });
     }
+    parser.onUnknown([&action](const char *token) {
+        std::fprintf(stderr, "cache %s: unknown flag %s\n",
+                     action.c_str(), token);
+        std::exit(1);
+    });
+    parser.run();
     if (o.dir.empty()) {
         std::fprintf(stderr,
                      "cache: no directory (use --dir or set "
@@ -793,85 +779,38 @@ fleetMain(int argc, char **argv)
 {
     FleetConfig base;
     std::vector<int> cores_list = {96};
-    std::vector<double> fracs = {0.0};
+    std::vector<double> fracs; ///< Empty: uncapped (or --budget-watts).
     double budget_watts = 0.0;
-    int jobs = 0;
     bool csv = false, json = false;
-    bool fracs_given = false;
     ShardOption shard;
     CommonRunOptions run;
+    run.seed = base.seed;
+    run.requests = base.requestsPerEpoch;
 
-    auto parse_list = [](const std::string &list,
-                         const std::function<void(const std::string &)>
-                             &item) {
-        std::size_t pos = 0;
-        while (pos < list.size()) {
-            std::size_t comma = list.find(',', pos);
-            if (comma == std::string::npos)
-                comma = list.size();
-            item(list.substr(pos, comma - pos));
-            pos = comma + 1;
-        }
-    };
     OptionsParser parser(argc, argv, 2);
     parser.value("--app", [&](const char *v) { base.app = v; });
     parser.value("--policy", [&](const char *v) { base.policy = v; });
-    parser.value("--cores", [&](const char *v) {
-        cores_list.clear();
-        parse_list(v, [&](const std::string &s) {
-            cores_list.push_back(std::atoi(s.c_str()));
-        });
-    });
-    parser.value("--budget-frac", [&](const char *v) {
-        fracs.clear();
-        fracs_given = true;
-        parse_list(v, [&](const std::string &s) {
-            fracs.push_back(std::atof(s.c_str()));
-        });
-    });
-    parser.value("--budget-watts", [&](const char *v) {
-        budget_watts = std::atof(v);
-    });
-    parser.value("--cores-per-machine", [&](const char *v) {
-        base.coresPerMachine = std::atoi(v);
-    });
-    parser.value("--epochs",
-                 [&](const char *v) { base.epochs = std::atoi(v); });
-    parser.value("--requests", [&](const char *v) {
-        base.requestsPerEpoch = std::atoi(v);
-    });
-    parser.value("--bound-ms",
-                 [&](const char *v) { base.boundMs = std::atof(v); });
-    parser.value("--seed", [&](const char *v) {
-        base.seed = static_cast<uint64_t>(std::atoll(v));
-    });
-    parser.value("--base-load", [&](const char *v) {
-        base.loadModel.baseLoad = std::atof(v);
-    });
-    parser.value("--surge-factor", [&](const char *v) {
-        base.loadModel.surgeFactor = std::atof(v);
-    });
-    parser.value("--surge-fraction", [&](const char *v) {
-        base.loadModel.surgeFraction = std::atof(v);
-    });
-    parser.value("--max-core-load", [&](const char *v) {
-        base.maxCoreLoad = std::atof(v);
-    });
-    parser.value("--load-quantum", [&](const char *v) {
-        base.loadQuantum = std::atof(v);
-    });
-    parser.value("--transition-us", [&](const char *v) {
-        base.transitionUs = std::atof(v);
-    });
+    parser.numbers("--cores", &cores_list, 1);
+    parser.numbers("--budget-frac", &fracs, 0.0, kHuge);
+    parser.number("--budget-watts", &budget_watts, 0.0, kHuge);
+    parser.number("--cores-per-machine", &base.coresPerMachine, 1);
+    parser.number("--epochs", &base.epochs, 1);
+    parser.number("--bound-ms", &base.boundMs, 0.0, kHuge);
+    parser.number("--base-load", &base.loadModel.baseLoad, 0.0, kHuge);
+    parser.number("--surge-factor", &base.loadModel.surgeFactor, 0.0,
+                  kHuge);
+    parser.number("--surge-fraction", &base.loadModel.surgeFraction, 0.0,
+                  kHuge);
+    // FleetConfig::validate's ranges: (0, 1] and (0, 0.5].
+    parser.number("--max-core-load", &base.maxCoreLoad,
+                  std::numeric_limits<double>::denorm_min(), 1.0);
+    parser.number("--load-quantum", &base.loadQuantum,
+                  std::numeric_limits<double>::denorm_min(), 0.5);
+    parser.number("--transition-us", &base.transitionUs, 0.0, kHuge);
     parser.flag("--thermal", [&] { base.thermal.enabled = true; });
-    parser.value("--tj", [&](const char *v) {
-        base.thermal.params.junction = std::atof(v);
-    });
-    parser.value("--ambient", [&](const char *v) {
-        base.thermal.params.ambient = std::atof(v);
-        base.thermal.params.leakTref = base.thermal.params.ambient;
-    });
-    parser.value("--jobs", [&](const char *v) { jobs = std::atoi(v); });
+    parser.number("--tj", &base.thermal.params.junction);
+    parser.number("--ambient", &base.thermal.params.ambient);
+    addRunFlags(parser, &run);
     addShardFlag(parser, &shard);
     addSimdFlag(parser, &run);
     parser.flag("--csv", [&] { csv = true; });
@@ -883,6 +822,13 @@ fleetMain(int argc, char **argv)
         std::exit(1);
     });
     parser.run();
+    base.seed = run.seed;
+    base.requestsPerEpoch = run.requests;
+    base.thermal.params.leakTref = base.thermal.params.ambient;
+    const int jobs = run.jobs;
+    const bool fracs_given = !fracs.empty();
+    if (!fracs_given)
+        fracs = {0.0};
     if (run.simdGiven)
         applySimdSelection(run);
     if (csv && json) {
@@ -901,10 +847,6 @@ fleetMain(int argc, char **argv)
         std::fprintf(stderr,
                      "fleet: --budget-watts and --budget-frac are "
                      "mutually exclusive\n");
-        return 1;
-    }
-    if (cores_list.empty()) {
-        std::fprintf(stderr, "fleet: --cores needs a comma list\n");
         return 1;
     }
 
@@ -1102,8 +1044,6 @@ serveMain(int argc, char **argv)
     parser.flag("--shutdown", [&] { shutdown = true; });
     // Numeric knobs parse strictly (OptionsParser::number): a value
     // that is not a whole in-range number exits 1 naming it.
-    constexpr double kHuge = std::numeric_limits<double>::max();
-    constexpr std::size_t kMaxShape = std::size_t(1) << 24;
     parser.number("--bound-ms", &bound_ms, 0.0, kHuge);
     parser.number("--percentile", &sc.percentile,
                   std::numeric_limits<double>::min(),
@@ -1112,14 +1052,7 @@ serveMain(int argc, char **argv)
     parser.flag("--feedback", [&] { sc.feedback = true; });
     parser.flag("--distill", [&] { sc.distill = true; });
     parser.value("--model", [&](const char *v) { sc.modelPath = v; });
-    parser.number("--leaves", &sc.distillConfig.leaves, std::size_t(0),
-                  std::size_t(128));
-    parser.number("--age-buckets", &sc.distillConfig.ageBuckets,
-                  std::size_t(2), kMaxShape);
-    parser.number("--max-positions", &sc.distillConfig.maxPositions,
-                  std::size_t(1), std::size_t(1) << 20);
-    parser.number("--fallback-band", &sc.distillConfig.fallbackBand,
-                  std::size_t(0), kMaxShape);
+    addDistillShapeFlags(parser, &sc.distillConfig);
     parser.number("--max-queue", &sc.maxQueue, std::size_t(1), kMaxShape);
     parser.flag("--no-timing", [&] { sc.timeDecisions = false; });
     parser.number("--transition-us", &transition_us, 0.0, kHuge);
@@ -1182,26 +1115,12 @@ distillMain(int argc, char **argv)
     run.requests = 9000;
     OptionsParser parser(argc, argv, 2);
     parser.value("--app", [&](const char *v) { app_name = v; });
-    parser.value("--load", [&](const char *v) { load = std::atof(v); });
-    parser.value("--bound-ms",
-                 [&](const char *v) { bound_ms = std::atof(v); });
+    parser.number("--load", &load, kMinLoad, kMaxLoad);
+    parser.number("--bound-ms", &bound_ms, 0.0, kHuge);
     parser.value("--out", [&](const char *v) { out_path = v; });
-    parser.value("--leaves", [&](const char *v) {
-        dc.leaves = static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--age-buckets", [&](const char *v) {
-        dc.ageBuckets = static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--max-positions", [&](const char *v) {
-        dc.maxPositions = static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--fallback-band", [&](const char *v) {
-        dc.fallbackBand = static_cast<std::size_t>(std::atoll(v));
-    });
+    addDistillShapeFlags(parser, &dc);
     parser.flag("--bursty", [&] { bursty = true; });
-    parser.value("--transition-us", [&](const char *v) {
-        transition_us = std::atof(v);
-    });
+    parser.number("--transition-us", &transition_us, 0.0, kHuge);
     addRunFlags(parser, &run);
     addSimdFlag(parser, &run);
     parser.onUnknown([](const char *token) {
@@ -1323,7 +1242,7 @@ traceMain(int argc, char **argv)
     run.requests = 9000;
     OptionsParser parser(argc, argv, 3);
     parser.value("--app", [&](const char *v) { app_name = v; });
-    parser.value("--load", [&](const char *v) { load = std::atof(v); });
+    parser.number("--load", &load, kMinLoad, kMaxLoad);
     parser.value("--out", [&](const char *v) { out_path = v; });
     parser.flag("--bursty", [&] { bursty = true; });
     addRunFlags(parser, &run);
