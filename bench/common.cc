@@ -5,6 +5,7 @@
 #include <cstring>
 #include <exception>
 
+#include "runner/experiment_runner.h"
 #include "runner/fault.h"
 #include "runner/options_parser.h"
 #include "runner/orchestrator.h"
@@ -86,7 +87,8 @@ parseOptions(int argc, char **argv, bool allow_shard)
     rubik::addShardFlag(parser, &shard);
     parser.value("--backend",
                  [&opts](const char *v) { opts.backend = v; });
-    parser.number("--shards", &opts.shards, 1);
+    parser.number("--shards", &opts.shards, 1,
+                  rubik::ExperimentRunner::kMaxWorkers);
     parser.value("--trace-cache",
                  [&opts](const char *v) { opts.traceCache = v; });
     parser.value("--cache-cap",

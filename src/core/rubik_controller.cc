@@ -1,6 +1,7 @@
 #include "core/rubik_controller.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.h"
 
@@ -98,12 +99,49 @@ RubikController::onCompletion(const CompletedRequest &done,
     ++completionsSeen_;
 }
 
+bool
+RubikController::updatesIdle() const
+{
+    const uint64_t fresh = completionsSeen_ - completionsAtLastBuild_;
+    const bool can_rebuild =
+        profiler_.numSamples() >= cfg_.warmupSamples &&
+        (!table_ || fresh >= cfg_.minNewSamplesPerRebuild);
+    // Expiring an empty window changes nothing, and the PI stage does
+    // not run without samples.
+    const bool can_feed_back = cfg_.feedback && table_ && !measured_.empty();
+    return !can_rebuild && !can_feed_back;
+}
+
+void
+RubikController::advanceSchedule(double now)
+{
+    const double due = now + 1e-12;
+    const double period = cfg_.updatePeriod;
+    const double behind = (due - nextUpdate_) / period;
+    if (behind > kJumpPeriods && std::isfinite(behind)) {
+        // Land a couple of periods short, so the adds below finish.
+        nextUpdate_ += (std::floor(behind) - 2.0) * period;
+    }
+    while (nextUpdate_ <= due) {
+        const double next = nextUpdate_ + period;
+        // Far enough out, adding a period no longer moves the value.
+        nextUpdate_ = next > nextUpdate_ ? next : std::nextafter(due, kNever);
+    }
+}
+
+void
+RubikController::skipIdleUpdates(double t)
+{
+    if ((t - nextUpdate_) / cfg_.updatePeriod > kJumpPeriods &&
+        updatesIdle())
+        advanceSchedule(t);
+}
+
 void
 RubikController::periodicUpdate(const CoreView &core)
 {
     // Keep the schedule strictly advancing even if the loop stalls.
-    while (nextUpdate_ <= core.now + 1e-12)
-        nextUpdate_ += cfg_.updatePeriod;
+    advanceSchedule(core.now);
 
     const uint64_t fresh = completionsSeen_ - completionsAtLastBuild_;
     const bool enough_new =

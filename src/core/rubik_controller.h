@@ -79,6 +79,24 @@ class RubikController : public DvfsPolicy
     double nextPeriodicUpdate() const override { return nextUpdate_; }
     void periodicUpdate(const CoreView &core) override;
 
+    /**
+     * Scheduled updates a catch-up must be behind before it may jump:
+     * 2^20 periods (29 hours of stream time at 100 ms).
+     */
+    static constexpr double kJumpPeriods = 1048576.0;
+
+    /**
+     * Skip the periodic updates scheduled at or before `t` when more
+     * than kJumpPeriods of them are due and every one would change
+     * nothing but the schedule: no rebuild can come due before the
+     * next completion, and the feedback window is empty. One
+     * multiply-add then moves the schedule past `t` in O(1) instead of
+     * one update per period (its rounding differs from the add loop's,
+     * so shorter gaps never take it). A driver that runs each due
+     * update at its scheduled instant calls this after each one.
+     */
+    void skipIdleUpdates(double t);
+
     /// @name Introspection (tests, benches)
     /// @{
     bool warm() const { return table_.has_value(); }
@@ -94,6 +112,14 @@ class RubikController : public DvfsPolicy
   private:
     /// Frequency floor from Eq. 2 over all requests in the system.
     double analyticalFloor(const CoreView &core) const;
+
+    /// True when a periodicUpdate can change nothing but the schedule
+    /// until the next completion arrives.
+    bool updatesIdle() const;
+
+    /// Move nextUpdate_ past `now` (+1e-12): one period at a time, as
+    /// the schedule always has, unless more than kJumpPeriods are due.
+    void advanceSchedule(double now);
 
     const DvfsModel &dvfs_;
     RubikConfig cfg_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "runner/experiment_runner.h"
 #include "stats/percentile.h"
 #include "util/error.h"
 
@@ -36,6 +37,25 @@ tailChain(const DiscreteDistribution &s0, const DiscreteDistribution &s,
             cur = cur.convolveWith(s, opts);
     }
     return tails;
+}
+
+/// One boundary chain: the tails and moments of S_0 conditioned on the
+/// elapsed work at boundary b (quantile b / rows of S_0; none at b = 0).
+struct BoundaryChain
+{
+    std::vector<double> tails;
+    double mean = 0.0, var = 0.0;
+};
+
+BoundaryChain
+boundaryChain(const DiscreteDistribution &s0, const DiscreteDistribution &s,
+              std::size_t b, const TailTableConfig &cfg)
+{
+    const double q =
+        static_cast<double>(b) / static_cast<double>(cfg.rows);
+    const double elapsed = b == 0 ? 0.0 : s0.quantile(q);
+    const DiscreteDistribution cond = s0.conditionalOnElapsed(elapsed);
+    return {tailChain(cond, s, cfg), cond.mean(), cond.variance()};
 }
 
 } // anonymous namespace
@@ -73,8 +93,9 @@ TargetTailTable::build(const DiscreteDistribution &s0_compute,
                        const DiscreteDistribution &mix_memory,
                        const TailTableConfig &config)
 {
-    return buildImpl(s0_compute, s0_memory, mix_compute, mix_memory,
-                     config, mixTerms(mix_compute, mix_memory, config));
+    return std::move(
+        buildImpl({{&s0_compute, &s0_memory}}, mix_compute, mix_memory,
+                  config, mixTerms(mix_compute, mix_memory, config))[0]);
 }
 
 std::vector<std::optional<TargetTailTable>>
@@ -87,62 +108,38 @@ TargetTailTable::buildBatch(
 {
     RUBIK_ASSERT(class_compute.size() == class_memory.size(),
                  "class compute/memory lists must match");
-    const MixTerms terms = mixTerms(mix_compute, mix_memory, config);
+    Sources sources = {{&mix_compute, &mix_memory}};
+    for (std::size_t k = 0; k < class_compute.size(); ++k) {
+        if (!class_compute[k] && !class_memory[k])
+            continue;
+        RUBIK_ASSERT(class_compute[k] && class_memory[k],
+                     "class compute/memory must be paired");
+        sources.emplace_back(class_compute[k], class_memory[k]);
+    }
+    std::vector<TargetTailTable> tables =
+        buildImpl(sources, mix_compute, mix_memory, config,
+                  mixTerms(mix_compute, mix_memory, config));
 
     std::vector<std::optional<TargetTailTable>> out;
     out.reserve(1 + class_compute.size());
-    out.emplace_back(buildImpl(mix_compute, mix_memory, mix_compute,
-                               mix_memory, config, terms));
+    out.emplace_back(std::move(tables[0]));
+    std::size_t next = 1;
     for (std::size_t k = 0; k < class_compute.size(); ++k) {
-        if (!class_compute[k] && !class_memory[k]) {
+        if (class_compute[k])
+            out.emplace_back(std::move(tables[next++]));
+        else
             out.emplace_back(std::nullopt);
-            continue;
-        }
-        RUBIK_ASSERT(class_compute[k] && class_memory[k],
-                     "class compute/memory must be paired");
-        out.emplace_back(buildImpl(*class_compute[k], *class_memory[k],
-                                   mix_compute, mix_memory, config,
-                                   terms));
     }
     return out;
 }
 
-TargetTailTable
-TargetTailTable::buildImpl(const DiscreteDistribution &s0_compute,
-                           const DiscreteDistribution &s0_memory,
+std::vector<TargetTailTable>
+TargetTailTable::buildImpl(const Sources &s0,
                            const DiscreteDistribution &mix_compute,
                            const DiscreteDistribution &mix_memory,
                            const TailTableConfig &config,
                            const MixTerms &terms)
 {
-    const DiscreteDistribution &compute = mix_compute;
-    const DiscreteDistribution &memory = mix_memory;
-
-    TargetTailTable t;
-    t.config_ = config;
-    t.zp_ = terms.zp;
-    t.meanC_ = terms.meanC;
-    t.varC_ = terms.varC;
-    t.meanM_ = terms.meanM;
-    t.varM_ = terms.varM;
-
-    // Rows are quantiles of the S_0 source: the in-flight request's
-    // elapsed work is compared against its own class's distribution.
-    const double n_rows = static_cast<double>(config.rows);
-    t.rowBounds_.resize(config.rows);
-    for (std::size_t r = 0; r < config.rows; ++r) {
-        t.rowBounds_[r] =
-            s0_compute.quantile(static_cast<double>(r) / n_rows);
-    }
-    t.rowBounds_[0] = 0.0;
-
-    t.cycles_.resize(config.rows);
-    t.memTime_.resize(config.rows);
-    t.meanC0_.resize(config.rows);
-    t.varC0_.resize(config.rows);
-    t.meanM0_.resize(config.rows);
-    t.varM0_.resize(config.rows);
-
     // Evaluate the conditional chains once per row *boundary*: row r's
     // upper boundary is row r+1's lower boundary, so rows+1 boundary
     // chains cover every row from both sides at roughly half the cost of
@@ -150,47 +147,74 @@ TargetTailTable::buildImpl(const DiscreteDistribution &s0_compute,
     const std::size_t n_bounds =
         config.conservativeRowBounds ? config.rows + 1 : config.rows;
 
-    struct BoundaryChain
-    {
-        std::vector<double> cyc, mem;
-        double meanC, varC, meanM, varM;
-    };
-    std::vector<BoundaryChain> bounds(n_bounds);
+    // Task k is table k / (2 n_bounds), boundary (k / 2) % n_bounds, and
+    // its compute chain (even k) or memory chain (odd k).
+    std::vector<BoundaryChain> chains(s0.size() * n_bounds * 2);
+    ExperimentRunner::parallelForOnSpareCores(
+        chains.size(), [&](std::size_t k) {
+            const auto &[s0_compute, s0_memory] = s0[k / (2 * n_bounds)];
+            const std::size_t b = (k / 2) % n_bounds;
+            chains[k] = k % 2 == 0
+                            ? boundaryChain(*s0_compute, mix_compute, b,
+                                            config)
+                            : boundaryChain(*s0_memory, mix_memory, b,
+                                            config);
+        });
 
-    for (std::size_t b = 0; b < n_bounds; ++b) {
-        const double q = static_cast<double>(b) / n_rows;
-        const double w = b == 0 ? 0.0 : s0_compute.quantile(q);
-        const double m = b == 0 ? 0.0 : s0_memory.quantile(q);
-        const DiscreteDistribution s0 = s0_compute.conditionalOnElapsed(w);
-        const DiscreteDistribution m0 = s0_memory.conditionalOnElapsed(m);
-        bounds[b].cyc = tailChain(s0, compute, config);
-        bounds[b].mem = tailChain(m0, memory, config);
-        bounds[b].meanC = s0.mean();
-        bounds[b].varC = s0.variance();
-        bounds[b].meanM = m0.mean();
-        bounds[b].varM = m0.variance();
-    }
+    std::vector<TargetTailTable> tables;
+    tables.reserve(s0.size());
+    for (std::size_t k = 0; k < s0.size(); ++k) {
+        TargetTailTable &t = tables.emplace_back(TargetTailTable());
+        t.config_ = config;
+        t.zp_ = terms.zp;
+        t.meanC_ = terms.meanC;
+        t.varC_ = terms.varC;
+        t.meanM_ = terms.meanM;
+        t.varM_ = terms.varM;
 
-    for (std::size_t r = 0; r < config.rows; ++r) {
-        // Take the worse (larger-tail) of the row's two boundaries —
-        // conservative for services whose conditional remaining work can
-        // grow with elapsed work (heavy tails).
-        const BoundaryChain &lo = bounds[r];
-        const BoundaryChain &hi =
-            config.conservativeRowBounds ? bounds[r + 1] : bounds[r];
-
-        t.cycles_[r].resize(config.positions);
-        t.memTime_[r].resize(config.positions);
-        for (std::size_t i = 0; i < config.positions; ++i) {
-            t.cycles_[r][i] = std::max(lo.cyc[i], hi.cyc[i]);
-            t.memTime_[r][i] = std::max(lo.mem[i], hi.mem[i]);
+        // Rows are quantiles of the S_0 source: the in-flight request's
+        // elapsed work is compared against its own class's distribution.
+        const DiscreteDistribution &s0_compute = *s0[k].first;
+        const double n_rows = static_cast<double>(config.rows);
+        t.rowBounds_.resize(config.rows);
+        for (std::size_t r = 0; r < config.rows; ++r) {
+            t.rowBounds_[r] =
+                s0_compute.quantile(static_cast<double>(r) / n_rows);
         }
-        t.meanC0_[r] = std::max(lo.meanC, hi.meanC);
-        t.varC0_[r] = std::max(lo.varC, hi.varC);
-        t.meanM0_[r] = std::max(lo.meanM, hi.meanM);
-        t.varM0_[r] = std::max(lo.varM, hi.varM);
+        t.rowBounds_[0] = 0.0;
+
+        t.cycles_.resize(config.rows);
+        t.memTime_.resize(config.rows);
+        t.meanC0_.resize(config.rows);
+        t.varC0_.resize(config.rows);
+        t.meanM0_.resize(config.rows);
+        t.varM0_.resize(config.rows);
+
+        const BoundaryChain *bounds = &chains[k * n_bounds * 2];
+        for (std::size_t r = 0; r < config.rows; ++r) {
+            // Take the worse (larger-tail) of the row's two boundaries —
+            // conservative for services whose conditional remaining work
+            // can grow with elapsed work (heavy tails).
+            const std::size_t hi =
+                config.conservativeRowBounds ? r + 1 : r;
+            const BoundaryChain &lo_c = bounds[2 * r];
+            const BoundaryChain &lo_m = bounds[2 * r + 1];
+            const BoundaryChain &hi_c = bounds[2 * hi];
+            const BoundaryChain &hi_m = bounds[2 * hi + 1];
+
+            t.cycles_[r].resize(config.positions);
+            t.memTime_[r].resize(config.positions);
+            for (std::size_t i = 0; i < config.positions; ++i) {
+                t.cycles_[r][i] = std::max(lo_c.tails[i], hi_c.tails[i]);
+                t.memTime_[r][i] = std::max(lo_m.tails[i], hi_m.tails[i]);
+            }
+            t.meanC0_[r] = std::max(lo_c.mean, hi_c.mean);
+            t.varC0_[r] = std::max(lo_c.var, hi_c.var);
+            t.meanM0_[r] = std::max(lo_m.mean, hi_m.mean);
+            t.varM0_[r] = std::max(lo_m.var, hi_m.var);
+        }
     }
-    return t;
+    return tables;
 }
 
 std::size_t

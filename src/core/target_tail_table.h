@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/distribution.h"
@@ -135,10 +136,16 @@ class TargetTailTable
                              const DiscreteDistribution &mix_memory,
                              const TailTableConfig &config);
 
-    static TargetTailTable
-    buildImpl(const DiscreteDistribution &s0_compute,
-              const DiscreteDistribution &s0_memory,
-              const DiscreteDistribution &mix_compute,
+    /// One (compute, memory) S_0 source per table to build.
+    using Sources = std::vector<
+        std::pair<const DiscreteDistribution *, const DiscreteDistribution *>>;
+
+    /// Build one table per source. Every boundary chain of every table
+    /// is one task of a single ExperimentRunner::parallelForOnSpareCores
+    /// batch; each task runs start to end on one thread and writes only
+    /// its own slot, so the tables are bitwise what a serial loop makes.
+    static std::vector<TargetTailTable>
+    buildImpl(const Sources &s0, const DiscreteDistribution &mix_compute,
               const DiscreteDistribution &mix_memory,
               const TailTableConfig &config, const MixTerms &terms);
 

@@ -22,7 +22,10 @@
  *
  * There is deliberately no work stealing and no shared RNG: both would
  * trade determinism for a scheduling win the coarse-grained experiment
- * jobs do not need.
+ * jobs do not need. parallelFor() hands out indices from one counter
+ * instead, for fine-grained work whose every index writes its own slot
+ * (the boundary chains of a tail-table build, via
+ * parallelForOnSpareCores()), so which thread ran an index cannot show.
  */
 
 #include <condition_variable>
@@ -48,9 +51,11 @@ class ExperimentRunner
      */
     explicit ExperimentRunner(int num_workers = 0);
 
-    /// Most worker threads a --jobs flag or RUBIK_JOBS may ask for: a
-    /// pool starts one thread per worker, so the count is bounded
-    /// rather than left to whatever number the user typed.
+    /// Most worker threads a --jobs flag or RUBIK_JOBS may ask for, and
+    /// most dispatch slots --shards may: a pool starts one thread per
+    /// worker and dispatch one thread and one child process per slot,
+    /// so the count is bounded rather than left to whatever number the
+    /// user typed.
     static constexpr int kMaxWorkers = 1024;
     ~ExperimentRunner();
 
@@ -97,18 +102,49 @@ class ExperimentRunner
     /// that writes into caller-owned per-index slots.
     void runBatch(std::vector<std::function<void()>> jobs);
 
-    /// Execute body(0..n-1) on the pool; waits for all iterations.
+    /**
+     * Execute body(0..n-1) with the calling thread and up to
+     * numWorkers() pool threads together: each takes the next unclaimed
+     * index from one shared counter, so a slow iteration never holds up
+     * the others and a pool worker may call this on its own pool. Returns
+     * once every index is done; if some threw, rethrows the exception of
+     * the lowest failed index, as runBatch does.
+     */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
 
+    /**
+     * parallelFor on the process-wide helper pool when the calling
+     * thread owns spare cores, else a serial loop on the calling thread
+     * (the first exception propagates: the lowest failed index). The
+     * helpers engage only when all of these hold:
+     *  - the caller is not a worker of a pool with more than one worker
+     *    (those cells already use every core);
+     *  - defaultWorkerCount() > 1, so the affinity mask holds more than
+     *    one CPU and RUBIK_JOBS is not 1 (otherwise no helper thread is
+     *    ever created);
+     *  - no other thread is using the helpers (a concurrent call runs
+     *    serially instead of waiting for them).
+     * The pool starts on first use with defaultWorkerCount() - 1 workers,
+     * at most kMaxHelpers. `body` must write only per-index state, so
+     * the result cannot depend on which thread ran an index.
+     */
+    static void
+    parallelForOnSpareCores(std::size_t n,
+                            const std::function<void(std::size_t)> &body);
+
+    /// Most helper threads parallelForOnSpareCores may start.
+    static constexpr int kMaxHelpers = 15;
+
     /// Resolved default worker count: RUBIK_JOBS if it is a whole
     /// number in [1, kMaxWorkers], else std::thread::hardware_concurrency()
-    /// capped at kMaxWorkers, else 1.
+    /// capped at kMaxWorkers, else 1; never more than the CPUs in the
+    /// calling thread's affinity mask.
     static int defaultWorkerCount();
 
   private:
     void enqueue(std::function<void()> task);
-    void workerLoop();
+    void workerLoop(bool wide);
 
     std::vector<std::thread> workers_;
     std::deque<std::function<void()>> queue_;

@@ -85,8 +85,14 @@ ServeEngine::advanceTo(double t)
         wallStartNs_ = monotonicNs();
     // Run table rebuilds that came due before this event, at their
     // scheduled instants — the same ordering the simulator enforces.
-    while (recorder_->nextPeriodicUpdate() <= t)
+    // Once the updates go idle, a far-future event (`a 1e9`) skips the
+    // rest of its gap in O(1). The distilled layer retrains only when
+    // the table or the internal target moved, and an idle exact
+    // controller moves neither.
+    while (recorder_->nextPeriodicUpdate() <= t) {
         recorder_->periodicUpdate(view(recorder_->nextPeriodicUpdate()));
+        exact_->skipIdleUpdates(t);
+    }
     if (t > now_)
         now_ = t;
 }

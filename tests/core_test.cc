@@ -7,6 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +21,7 @@
 #include "core/profiler.h"
 #include "core/rubik_controller.h"
 #include "core/target_tail_table.h"
+#include "runner/experiment_runner.h"
 #include "stats/percentile.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -515,6 +522,145 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(4, 8, 16),
                        ::testing::Values(8, 16),
                        ::testing::Values(64, 128)));
+
+// ------------------------------------------------------------------
+// Parallel table build: the boundary chains of a build run on the
+// spare-core helpers (ExperimentRunner::parallelForOnSpareCores) when
+// the caller owns spare cores, and serially inside a multi-worker
+// pool. Either way every table is bitwise the serial one.
+
+/// Every row bound and tail of a table, exact columns and the Gaussian
+/// extension alike.
+std::vector<double>
+tableValues(const TargetTailTable &t)
+{
+    std::vector<double> v = t.rowBounds();
+    for (std::size_t r = 0; r < t.config().rows; ++r) {
+        for (std::size_t i = 0; i < 2 * t.config().positions; ++i) {
+            v.push_back(t.tailCycles(r, i));
+            v.push_back(t.tailMemTime(r, i));
+        }
+    }
+    return v;
+}
+
+bool
+sameBytes(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A mixture, two classes (one slot empty between them) and the values
+/// of every table build() and buildBatch() make from them, with and
+/// without conservativeRowBounds.
+struct TableInputs
+{
+    std::vector<DiscreteDistribution> compute, memory; // [0]: mixture
+    TableInputs()
+    {
+        Rng rng(77);
+        for (int k = 0; k < 3; ++k) {
+            std::vector<double> c, m;
+            for (int i = 0; i < 4000; ++i) {
+                c.push_back(rng.lognormal(13.0 + 0.3 * k, 0.2 + 0.3 * k));
+                m.push_back(rng.lognormal(-9.0 - 0.2 * k, 0.4));
+            }
+            compute.push_back(fromSamples(c));
+            memory.push_back(fromSamples(m));
+        }
+    }
+
+    std::vector<std::vector<double>> buildAll() const
+    {
+        std::vector<std::vector<double>> out;
+        for (const bool conservative : {false, true}) {
+            TailTableConfig cfg;
+            cfg.conservativeRowBounds = conservative;
+            out.push_back(tableValues(
+                TargetTailTable::build(compute[0], memory[0], cfg)));
+            out.push_back(tableValues(TargetTailTable::build(
+                compute[1], memory[1], compute[0], memory[0], cfg)));
+            const auto batch = TargetTailTable::buildBatch(
+                compute[0], memory[0], {&compute[1], nullptr, &compute[2]},
+                {&memory[1], nullptr, &memory[2]}, cfg);
+            EXPECT_EQ(batch.size(), 4u);
+            EXPECT_FALSE(batch[2].has_value());
+            for (const std::size_t k : {0, 1, 3})
+                out.push_back(tableValues(*batch[k]));
+        }
+        return out;
+    }
+};
+
+/// Builds inside a two-worker pool job: serial, since such a pool's
+/// cells already use every core.
+std::vector<std::vector<double>>
+buildInWidePool(const TableInputs &in)
+{
+    ExperimentRunner pool(2);
+    std::vector<std::function<std::vector<std::vector<double>>()>> job = {
+        [&in] { return in.buildAll(); }};
+    return pool.runBatch(std::move(job))[0];
+}
+
+TEST(ParallelTableBuild, HelperBuildsMatchSerialBuildsBitwise)
+{
+    const TableInputs in;
+    const auto serial = buildInWidePool(in);
+    const auto helped = in.buildAll(); // main thread: helpers engage
+    ASSERT_EQ(serial.size(), helped.size());
+    for (std::size_t k = 0; k < serial.size(); ++k)
+        EXPECT_TRUE(sameBytes(serial[k], helped[k])) << "table " << k;
+
+    // The batch members are each what an individual build makes.
+    EXPECT_TRUE(sameBytes(helped[0], helped[2]));
+    EXPECT_TRUE(sameBytes(helped[1], helped[3]));
+}
+
+TEST(ParallelTableBuild, ConcurrentBuildsBothMatchSerialBuilds)
+{
+    const TableInputs in;
+    const auto serial = buildInWidePool(in);
+    // One caller gets the helpers, the other builds serially; which
+    // one varies run to run, and neither may change a byte.
+    std::vector<std::vector<double>> a, b;
+    std::thread other([&] {
+        for (int rep = 0; rep < 3; ++rep)
+            b = in.buildAll();
+    });
+    for (int rep = 0; rep < 3; ++rep)
+        a = in.buildAll();
+    other.join();
+    ASSERT_EQ(a.size(), serial.size());
+    ASSERT_EQ(b.size(), serial.size());
+    for (std::size_t k = 0; k < serial.size(); ++k) {
+        EXPECT_TRUE(sameBytes(serial[k], a[k])) << "table " << k;
+        EXPECT_TRUE(sameBytes(serial[k], b[k])) << "table " << k;
+    }
+}
+
+// A throwing chain task surfaces as the lowest failed index, as a
+// serial loop over the chains would have, with or without helpers.
+TEST(ParallelTableBuild, LowestFailedTaskIsRethrown)
+{
+    const auto run = [] {
+        try {
+            ExperimentRunner::parallelForOnSpareCores(
+                32, [](std::size_t i) {
+                    if (i == 5 || i == 9 || i == 30)
+                        throw std::runtime_error(std::to_string(i));
+                });
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string("no exception");
+    };
+    EXPECT_EQ(run(), "5"); // main thread: helpers engage
+    ExperimentRunner pool(2);
+    std::vector<std::function<std::string()>> job = {run};
+    EXPECT_EQ(pool.runBatch(std::move(job))[0], "5"); // serial
+}
 
 TEST(Profiler, WindowEviction)
 {

@@ -6,11 +6,15 @@
  * work.
  */
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -137,23 +141,51 @@ TEST(ExperimentRunner, DefaultWorkerCountPositive)
     EXPECT_GE(runner.numWorkers(), 1);
 }
 
+/// CPUs in this thread's affinity mask.
+int
+affinityCpus()
+{
+    cpu_set_t set;
+    if (::sched_getaffinity(0, sizeof set, &set) != 0)
+        return ExperimentRunner::kMaxWorkers;
+    return CPU_COUNT(&set);
+}
+
+/// Narrow this thread's affinity mask to its first allowed CPU.
+bool
+narrowToOneCpu()
+{
+    cpu_set_t set;
+    if (::sched_getaffinity(0, sizeof set, &set) != 0)
+        return false;
+    int first = 0;
+    while (!CPU_ISSET(first, &set))
+        ++first;
+    CPU_ZERO(&set);
+    CPU_SET(first, &set);
+    return ::sched_setaffinity(0, sizeof set, &set) == 0;
+}
+
 // RUBIK_JOBS is honoured only as a whole number in [1, kMaxWorkers];
-// anything else falls back to the (capped) hardware count. Only the
+// anything else falls back to the (capped) hardware count. Either way
+// the count never exceeds the CPUs the affinity mask allows. Only the
 // count is computed: no runner is built from these values.
 TEST(ExperimentRunner, DefaultWorkerCountBoundsRubikJobs)
 {
     const char *saved = std::getenv("RUBIK_JOBS");
     const std::string restore = saved ? saved : "";
+    const int cpus = affinityCpus();
     ::unsetenv("RUBIK_JOBS");
     const int fallback = ExperimentRunner::defaultWorkerCount();
     EXPECT_GE(fallback, 1);
     EXPECT_LE(fallback, ExperimentRunner::kMaxWorkers);
+    EXPECT_LE(fallback, cpus);
 
     ::setenv("RUBIK_JOBS", "3", 1);
-    EXPECT_EQ(ExperimentRunner::defaultWorkerCount(), 3);
+    EXPECT_EQ(ExperimentRunner::defaultWorkerCount(), std::min(3, cpus));
     ::setenv("RUBIK_JOBS", "1024", 1);
     EXPECT_EQ(ExperimentRunner::defaultWorkerCount(),
-              ExperimentRunner::kMaxWorkers);
+              std::min(ExperimentRunner::kMaxWorkers, cpus));
     for (const char *bad : {"100000", "1025", "0", "-2", "3x", " 3", ""}) {
         ::setenv("RUBIK_JOBS", bad, 1);
         EXPECT_EQ(ExperimentRunner::defaultWorkerCount(), fallback)
@@ -164,6 +196,25 @@ TEST(ExperimentRunner, DefaultWorkerCountBoundsRubikJobs)
         ::setenv("RUBIK_JOBS", restore.c_str(), 1);
     else
         ::unsetenv("RUBIK_JOBS");
+}
+
+// A process narrowed to one CPU gets one default worker, whatever the
+// hardware count or RUBIK_JOBS says (taskset -c 0 used to start one
+// worker per hardware thread on that CPU). The child narrows only its
+// own affinity.
+TEST(ExperimentRunner, DefaultWorkerCountHonoursAffinityMask)
+{
+    EXPECT_EXIT(
+        {
+            if (!narrowToOneCpu())
+                std::_Exit(2);
+            ::setenv("RUBIK_JOBS", "4", 1);
+            const int jobs = ExperimentRunner::defaultWorkerCount();
+            ::unsetenv("RUBIK_JOBS");
+            const int hw = ExperimentRunner::defaultWorkerCount();
+            std::_Exit(jobs == 1 && hw == 1 ? 0 : 4);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 // Parallel simulation results must equal serial results bit for bit:
@@ -273,6 +324,94 @@ TEST(ExperimentRunner, ParallelForCoversAllIndices)
                        [&](std::size_t i) { hits[i] = 1; });
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i], 1) << "index " << i;
+}
+
+// The caller takes indices too, so a job may call parallelFor on its
+// own pool: with the only worker busy running that job, the caller
+// does every index itself instead of waiting for a free worker.
+TEST(ExperimentRunner, ParallelForFromItsOwnWorkerCompletes)
+{
+    ExperimentRunner runner(1);
+    std::vector<int> hits(64, 0);
+    std::vector<std::function<void()>> jobs = {[&] {
+        runner.parallelFor(hits.size(),
+                           [&](std::size_t i) { hits[i] = 1; });
+    }};
+    runner.runBatch(std::move(jobs));
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i], 1) << "index " << i;
+}
+
+// Every index runs even when some throw; the lowest failed index's
+// exception is the one rethrown, as in runBatch.
+TEST(ExperimentRunner, ParallelForRethrowsLowestFailedIndex)
+{
+    ExperimentRunner runner(3);
+    std::atomic<int> ran{0};
+    std::string what = "no exception";
+    try {
+        runner.parallelFor(100, [&ran](std::size_t i) {
+            ++ran;
+            if (i % 10 == 7)
+                throw std::runtime_error(std::to_string(i));
+        });
+    } catch (const std::runtime_error &e) {
+        what = e.what();
+    }
+    EXPECT_EQ(what, "7");
+    EXPECT_EQ(ran.load(), 100);
+}
+
+// On a worker of a pool with more than one worker, the spare-core
+// helpers never engage: every index runs on the calling thread.
+TEST(ExperimentRunner, SpareCoreHelpersStayOffInsideAWidePool)
+{
+    ExperimentRunner runner(2);
+    std::vector<std::function<bool()>> jobs = {[] {
+        const std::thread::id self = std::this_thread::get_id();
+        std::vector<std::thread::id> ran(16);
+        ExperimentRunner::parallelForOnSpareCores(
+            ran.size(),
+            [&ran](std::size_t i) { ran[i] = std::this_thread::get_id(); });
+        return std::all_of(ran.begin(), ran.end(),
+                           [self](std::thread::id id) { return id == self; });
+    }};
+    EXPECT_TRUE(runner.runBatch(std::move(jobs))[0]);
+}
+
+/// The Threads: line of /proc/self/status (-1 if unreadable).
+int
+processThreads()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("Threads:", 0) == 0)
+            return std::atoi(line.c_str() + 8);
+    return -1;
+}
+
+// A process whose affinity mask holds one CPU never starts a helper
+// thread: its builds run on the calling thread alone. The child is a
+// fresh process (threadsafe death-test style), so no earlier test can
+// have started the helpers already.
+TEST(ExperimentRunner, OneCpuMaskStartsNoHelperThread)
+{
+    const std::string style = ::testing::GTEST_FLAG(death_test_style);
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            if (!narrowToOneCpu())
+                std::_Exit(2);
+            const std::thread::id self = std::this_thread::get_id();
+            bool alone = true;
+            ExperimentRunner::parallelForOnSpareCores(
+                16, [&](std::size_t) {
+                    alone = alone && std::this_thread::get_id() == self;
+                });
+            std::_Exit(alone && processThreads() == 1 ? 0 : 4);
+        },
+        ::testing::ExitedWithCode(0), "");
+    ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
 // With >1 worker, two blocking jobs must overlap: each waits for the

@@ -156,6 +156,32 @@ testConfig()
     return cfg;
 }
 
+/**
+ * Runs the death tests of its scope in a freshly started copy of the
+ * test binary. A forked child would inherit the heap of the parent's
+ * table-build helper threads (their thread-local workspaces) but not
+ * the threads, and the leak checker of a sanitizer build would report
+ * that memory when the child exits.
+ */
+class FreshDeathTestProcess
+{
+  public:
+    FreshDeathTestProcess()
+        : saved_(::testing::GTEST_FLAG(death_test_style))
+    {
+        ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    }
+    ~FreshDeathTestProcess()
+    {
+        ::testing::GTEST_FLAG(death_test_style) = saved_;
+    }
+    FreshDeathTestProcess(const FreshDeathTestProcess &) = delete;
+    FreshDeathTestProcess &operator=(const FreshDeathTestProcess &) = delete;
+
+  private:
+    std::string saved_;
+};
+
 TEST(ServeEngine, DecisionsStayOnTheGridAndWarmUp)
 {
     const DvfsModel dvfs = DvfsModel::haswell();
@@ -201,6 +227,7 @@ TEST(ServeEngine, CompletionOnEmptyQueueIsAnError)
 // hanging the suite.
 TEST(ServeEngine, NonFiniteEventsAreRefused)
 {
+    const FreshDeathTestProcess fresh;
     EXPECT_EXIT(
         {
             ::alarm(30);
@@ -223,6 +250,47 @@ TEST(ServeEngine, NonFiniteEventsAreRefused)
             bad += engine.queueDepth() != 1;
             bad += !engine.onCompletion(2e-3, 1e5, 1e-5).ok;
             bad += engine.decisionLog().count != 2;
+            std::fprintf(stderr, "bad=%d\n", bad);
+            std::exit(bad == 0 ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "bad=0");
+}
+
+// A far-future finite event time used to run one periodic update per
+// period of the gap first: ~10^11 of them for t = 1e9 s at a 10 ms
+// period. Once the updates go idle (too few fresh completions for a
+// rebuild, empty feedback window), the engine skips the rest of the
+// gap in O(1), on the exact and the distilled path alike, and keeps
+// serving. 1e300 also covers a gap where adding one period no longer
+// moves the schedule. The calls run in a child under an alarm, so a
+// regression fails instead of hanging the suite.
+TEST(ServeEngine, FarFutureEventSkipsIdleUpdates)
+{
+    const FreshDeathTestProcess fresh;
+    EXPECT_EXIT(
+        {
+            ::alarm(30);
+            int bad = 0;
+            for (const bool distill : {false, true}) {
+                ServeConfig cfg = testConfig();
+                cfg.distill = distill;
+                ServeEngine engine(DvfsModel::haswell(), cfg);
+                for (const Event &e : makeStream(400, 9)) {
+                    bad += !(e.arrival
+                                 ? engine.onArrival(e.t)
+                                 : engine.onCompletion(e.t, e.cycles, e.mem))
+                                .ok;
+                }
+                bad += !engine.warm();
+                const uint64_t rebuilds = engine.tableRebuilds();
+                for (const double t : {1e9, 1e9 + 0.05, 1e300}) {
+                    bad += !engine.onArrival(t).ok;
+                    bad += !engine.onCompletion(t, 1e5, 1e-5).ok;
+                }
+                // Three completions are too few for a rebuild.
+                bad += engine.tableRebuilds() != rebuilds;
+                bad += engine.queueDepth() != 0;
+            }
             std::fprintf(stderr, "bad=%d\n", bad);
             std::exit(bad == 0 ? 0 : 1);
         },
@@ -957,6 +1025,9 @@ TEST(CliFlags, RejectMalformedValues)
         {"fleet --csv --json", "--seed", "-1"},
         {"distill", "--leaves", "-1"},
         {"distill", "--load", "0x1"},
+        {"sweep", "--shards", "1025"},
+        {"sweep", "--shards", "0"},
+        {"sweep", "--shards", "100000"},
         {"trace gen", "--load", "nan"},
         {"trace gen", "--requests", "1e3"},
         {"cache vacuum --dir " + dir.path + "/cache", "--fix", ""},

@@ -375,7 +375,8 @@ sweepMain(int argc, char **argv)
     addShardFlag(parser, &shard);
     parser.number("--jobs", &jobs, 0, ExperimentRunner::kMaxWorkers);
     parser.value("--backend", [&](const char *v) { backend_desc = v; });
-    parser.number("--shards", &dispatch_shards, 1);
+    parser.number("--shards", &dispatch_shards, 1,
+                  ExperimentRunner::kMaxWorkers);
     parser.number("--retries", &retries, 0,
                   std::numeric_limits<int>::max() - 1);
     parser.value("--trace-cache",
